@@ -9,6 +9,7 @@
 package gpuchar_test
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -130,7 +131,7 @@ func simBench(b *testing.B, demo string, report func(*core.MicroResult)) {
 	prof := gpuchar.ProfileByName(demo)
 	var last *core.MicroResult
 	for i := 0; i < b.N; i++ {
-		r, err := core.RunMicro(prof, 1, w, h)
+		r, err := core.RenderMicro(context.Background(), prof, 1, gpuchar.R520Config(w, h), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -267,7 +268,7 @@ func ablationRun(b *testing.B, demo string, tweak func(*gpuchar.GPUConfig),
 		if tweak != nil {
 			tweak(&cfg)
 		}
-		r, err := core.RunMicroConfig(prof, 1, cfg)
+		r, err := core.RenderMicro(context.Background(), prof, 1, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -125,7 +125,6 @@ func main() {
 	dev := gpuchar.NewDevice(prof.API, g)
 	wl := gpuchar.NewWorkload(prof, dev, cfg.Width, cfg.Height)
 	tracker := obsv.NewProgressTracker(0)
-	wl.OnFrame = func(frame int) { tracker.FrameDone(prof.Name, frame) }
 	if *listen != "" {
 		srv, err := obsv.StartServer(*listen, obsv.ServerSources{
 			Snapshots: func() []metrics.Snapshot {
@@ -143,8 +142,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "attilasim: observability server on http://%s\n", srv.Addr)
 	}
 
-	if err := wl.Run(*frames); err != nil {
+	if err := wl.Setup(); err != nil {
 		fail(err)
+	}
+	for f := 0; f < *frames; f++ {
+		wl.RenderFrame()
+		tracker.FrameDone(prof.Name, f)
 	}
 	if *pngOut != "" {
 		out, err := os.Create(*pngOut)

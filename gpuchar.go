@@ -20,6 +20,8 @@
 package gpuchar
 
 import (
+	"context"
+
 	"gpuchar/internal/core"
 	"gpuchar/internal/explorer"
 	"gpuchar/internal/gfxapi"
@@ -158,20 +160,20 @@ func NewWorkload(p *Profile, d *Device, w, h int) *Workload {
 // ProfileAPI runs frames of a demo at the API level (null backend) and
 // returns its Table III/IV/V/XII statistics.
 func ProfileAPI(p *Profile, frames int) (*APIResult, error) {
-	return core.RunAPI(p, frames)
+	return core.RenderAPI(context.Background(), p, frames, nil, nil)
 }
 
 // Characterize simulates frames of a demo through the R520-like GPU at
 // 1024x768 and returns its microarchitectural characterization
 // (Tables VII-XVII).
 func Characterize(p *Profile, frames int) (*MicroResult, error) {
-	return core.RunMicro(p, frames, 1024, 768)
+	return CharacterizeConfig(p, frames, R520Config(1024, 768))
 }
 
 // CharacterizeConfig is Characterize with an explicit GPU configuration,
 // for ablation studies.
 func CharacterizeConfig(p *Profile, frames int, cfg GPUConfig) (*MicroResult, error) {
-	return core.RunMicroConfig(p, frames, cfg)
+	return core.RenderMicro(context.Background(), p, frames, cfg, nil)
 }
 
 // MicroResultFromGPU wraps an already-run GPU's frames as a MicroResult.
@@ -248,7 +250,7 @@ func RunExperiment(id string, ctx *Context) (*ExperimentResult, error) {
 // result slots and the error is an ExperimentErrors aggregate returned
 // alongside the surviving results.
 func RunExperiments(ids []string, ctx *Context) ([]*ExperimentResult, error) {
-	return core.RunExperiments(ctx, ids)
+	return core.RunExperiments(context.Background(), ctx, ids)
 }
 
 type errUnknownExperiment string

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"gpuchar/internal/gpu"
@@ -15,7 +16,7 @@ func runSmall(t *testing.T, demo string, tweak func(*gpu.Config)) *MicroResult {
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	r, err := RunMicroConfig(workloads.ByName(demo), 1, cfg)
+	r, err := RenderMicro(context.Background(), workloads.ByName(demo), 1, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +122,8 @@ func TestResolutionInvariance(t *testing.T) {
 		t.Skip("simulation")
 	}
 	small := runSmall(t, "UT2004/Primeval", nil)
-	big, err := RunMicroConfig(workloads.ByName("UT2004/Primeval"), 1,
-		gpu.R520Config(512, 384))
+	big, err := RenderMicro(context.Background(), workloads.ByName("UT2004/Primeval"), 1,
+		gpu.R520Config(512, 384), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"gpuchar/internal/gpu"
 	"gpuchar/internal/hwconfig"
@@ -50,11 +50,6 @@ type Context struct {
 	// ExperimentErrors aggregate instead of aborting on the first
 	// casualty. The surviving rows are byte-identical to a clean run.
 	KeepGoing bool
-	// Deadline, when positive, bounds each experiment's wall-clock time
-	// in RunExperiments. An overrunning experiment is reported as failed
-	// (the simulation has no cancellation points, so its goroutine is
-	// abandoned and its eventual result discarded).
-	Deadline time.Duration
 	// Trace, when non-nil, receives the whole sweep's spans on one
 	// timeline: per-experiment spans plus every demo render's frame,
 	// stage and draw spans (see internal/obsv). The `characterize
@@ -84,11 +79,15 @@ type Context struct {
 	mu         sync.Mutex
 	apiCache   map[string]*APIResult
 	microCache map[string]*MicroResult
+	// ctx is the context of the RunExperiments call in progress: the
+	// lazy API/Micro renders run under it (nil means Background).
+	ctx context.Context
 	// expTracer is the per-experiment tracer while TraceDir drives the
-	// sweep; liveGPUs tracks in-flight simulated renders for the
-	// observability server's live /metrics feed.
+	// sweep; live holds the last frame-boundary snapshot of each
+	// in-flight simulated render for the observability server's live
+	// /metrics feed.
 	expTracer *obsv.Tracer
-	liveGPUs  map[string]*gpu.GPU
+	live      map[string]metrics.Snapshot
 	// apiErr/microErr negative-cache failed renders so a poisoned demo
 	// fails once, not once per experiment that references it.
 	apiErr   map[string]error
@@ -104,8 +103,29 @@ func NewContext() *Context {
 }
 
 // API returns (and caches) the API-level run of a demo. Failures are
-// cached too, so a poisoned demo renders (and fails) once per sweep.
+// cached too, so a poisoned demo renders (and fails) once per sweep;
+// a render stopped by its context is not, so a later run renders it.
 func (c *Context) API(name string) (*APIResult, error) {
+	return c.api(c.runCtx(), name)
+}
+
+// Micro returns (and caches) the simulated run of a demo. Failures are
+// cached too, so a poisoned demo simulates (and fails) once per sweep.
+func (c *Context) Micro(name string) (*MicroResult, error) {
+	return c.micro(c.runCtx(), name)
+}
+
+// runCtx returns the context lazy renders run under.
+func (c *Context) runCtx() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ctx == nil {
+		return context.Background()
+	}
+	return c.ctx
+}
+
+func (c *Context) api(ctx context.Context, name string) (*APIResult, error) {
 	c.mu.Lock()
 	if c.apiCache == nil {
 		c.apiCache = map[string]*APIResult{}
@@ -124,22 +144,23 @@ func (c *Context) API(name string) (*APIResult, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("core: unknown demo %q", name)
 	}
-	r, err := runAPIHooked(prof, c.APIFrames, func(frame int) {
-		c.Progress.FrameDone(name, frame)
+	r, err := RenderAPI(ctx, prof, c.APIFrames, nil, func(ck *APICheckpoint) error {
+		c.Progress.FrameDone(name, len(ck.Frames)-1)
+		return nil
 	})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
-		c.apiErr[name] = err
+		if ctx.Err() == nil { // a stopped render is not the demo's fault
+			c.apiErr[name] = err
+		}
 		return nil, err
 	}
 	c.apiCache[name] = r
 	return r, nil
 }
 
-// Micro returns (and caches) the simulated run of a demo. Failures are
-// cached too, so a poisoned demo simulates (and fails) once per sweep.
-func (c *Context) Micro(name string) (*MicroResult, error) {
+func (c *Context) micro(ctx context.Context, name string) (*MicroResult, error) {
 	c.mu.Lock()
 	if c.microCache == nil {
 		c.microCache = map[string]*MicroResult{}
@@ -161,17 +182,18 @@ func (c *Context) Micro(name string) (*MicroResult, error) {
 	cfg := c.gpuConfig()
 	cfg.Trace = c.tracer()
 	cfg.TraceProcess = name
-	r, err := runMicroHooked(prof, c.SimFrames, cfg, microHooks{
-		onFrame: func(frame int) { c.Progress.FrameDone(name, frame) },
-		onGPU: func(g *gpu.GPU) func() {
-			c.addLiveGPU(name, g)
-			return func() { c.removeLiveGPU(name) }
-		},
+	r, err := RenderMicro(ctx, prof, c.SimFrames, cfg, func(frame int, boundary metrics.Snapshot) error {
+		c.setLive(name, &boundary)
+		c.Progress.FrameDone(name, frame)
+		return nil
 	})
+	c.setLive(name, nil)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
-		c.microErr[name] = err
+		if ctx.Err() == nil { // a stopped render is not the demo's fault
+			c.microErr[name] = err
+		}
 		return nil, err
 	}
 	c.microCache[name] = r
@@ -201,7 +223,9 @@ func (c *Context) gpuConfig() gpu.Config {
 // record the casualty once (KeepGoing). Experiment run functions call
 // it on every per-demo error.
 func (c *Context) skipDemo(demo string, err error) bool {
-	if !c.KeepGoing {
+	// A canceled or timed-out run fails the experiment outright rather
+	// than dropping every demo it had not rendered yet.
+	if !c.KeepGoing || c.runCtx().Err() != nil {
 		return false
 	}
 	c.mu.Lock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"gpuchar/internal/gfxapi"
@@ -20,7 +21,7 @@ func renderUnder(t *testing.T, hw *hwconfig.Variant) (string, string) {
 	ctx.SimFrames = 1
 	ctx.W, ctx.H = 96, 64
 	ctx.HW = hw
-	results, err := RunExperiments(ctx, []string{"table2", "table9", "table14"})
+	results, err := RunExperiments(context.Background(), ctx, []string{"table2", "table9", "table14"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +63,7 @@ func TestKeepGoingPoisonedDemo(t *testing.T) {
 
 	clean := NewContext()
 	clean.APIFrames = 8
-	cleanRes, err := RunExperiments(clean, ids)
+	cleanRes, err := RunExperiments(context.Background(), clean, ids)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -77,7 +79,7 @@ func TestKeepGoingPoisonedDemo(t *testing.T) {
 	ctx.APIFrames = 8
 	ctx.KeepGoing = true
 	ctx.Workers = 4
-	gotRes, err := RunExperiments(ctx, ids)
+	gotRes, err := RunExperiments(context.Background(), ctx, ids)
 	if err == nil {
 		t.Fatal("poisoned keep-going run returned no error")
 	}
@@ -109,7 +111,7 @@ func TestKeepGoingPoisonedSimDemo(t *testing.T) {
 	clean := NewContext()
 	clean.SimFrames = 1
 	clean.W, clean.H = 256, 192
-	cleanRes, err := RunExperiments(clean, ids)
+	cleanRes, err := RunExperiments(context.Background(), clean, ids)
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
@@ -126,7 +128,7 @@ func TestKeepGoingPoisonedSimDemo(t *testing.T) {
 	ctx.W, ctx.H = 256, 192
 	ctx.KeepGoing = true
 	ctx.Workers = 3
-	gotRes, err := RunExperiments(ctx, ids)
+	gotRes, err := RunExperiments(context.Background(), ctx, ids)
 	var errs ExperimentErrors
 	if !errors.As(err, &errs) {
 		t.Fatalf("error is %T (%v), want ExperimentErrors", err, err)
@@ -153,7 +155,7 @@ func TestStrictAbortsOnPoisonedDemo(t *testing.T) {
 
 	ctx := NewContext()
 	ctx.APIFrames = 4
-	res, err := RunExperiments(ctx, []string{"table3"})
+	res, err := RunExperiments(context.Background(), ctx, []string{"table3"})
 	if err == nil {
 		t.Fatal("strict run returned no error")
 	}
@@ -166,25 +168,48 @@ func TestStrictAbortsOnPoisonedDemo(t *testing.T) {
 	}
 }
 
-// TestExperimentDeadline checks the per-experiment watchdog: a render
-// hook stalls the sweep far past the configured deadline.
+// TestExperimentDeadline checks the per-run timeout: a render hook
+// stalls the sweep far past the context's deadline. The experiment
+// fails with the deadline error, and the stalled render is waited for
+// rather than abandoned, so no goroutine outlives RunExperiments.
 func TestExperimentDeadline(t *testing.T) {
 	setTestRenderHook(func(string) { time.Sleep(200 * time.Millisecond) })
 	defer setTestRenderHook(nil)
 
-	ctx := NewContext()
-	ctx.APIFrames = 4
-	ctx.Deadline = 5 * time.Millisecond
-	ctx.KeepGoing = true
-	res, err := RunExperiments(ctx, []string{"table3"})
-	var errs ExperimentErrors
-	if !errors.As(err, &errs) || len(errs) != 1 {
-		t.Fatalf("err = %v, want one deadline failure", err)
+	for _, workers := range []int{1, 2} {
+		baseline := runtime.NumGoroutine()
+		ctx := NewContext()
+		ctx.APIFrames = 4
+		ctx.Workers = workers
+		ctx.KeepGoing = true
+		run, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		res, err := RunExperiments(run, ctx, []string{"table3"})
+		cancel()
+		if n := settledGoroutines(baseline); n > baseline {
+			t.Errorf("workers=%d: %d goroutines after RunExperiments, baseline %d", workers, n, baseline)
+		}
+		var errs ExperimentErrors
+		if !errors.As(err, &errs) || len(errs) != 1 {
+			t.Fatalf("workers=%d: err = %v, want one deadline failure", workers, err)
+		}
+		if !strings.Contains(errs[0].Error(), "deadline") {
+			t.Errorf("workers=%d: error %q does not mention the deadline", workers, errs[0])
+		}
+		if len(res) != 1 || res[0] != nil {
+			t.Errorf("workers=%d: results = %v, want one nil slot", workers, res)
+		}
 	}
-	if !strings.Contains(errs[0].Error(), "deadline") {
-		t.Errorf("error %q does not mention the deadline", errs[0])
+}
+
+// settledGoroutines returns the goroutine count once it drops to the
+// baseline, or whatever it is after 20ms: long enough for goroutines
+// that already finished their work to exit, far shorter than the 200ms
+// stall an abandoned render would still be in.
+func settledGoroutines(baseline int) int {
+	n := runtime.NumGoroutine()
+	for end := time.Now().Add(20 * time.Millisecond); n > baseline && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
 	}
-	if len(res) != 1 || res[0] != nil {
-		t.Errorf("results = %v, want one nil slot", res)
-	}
+	return n
 }

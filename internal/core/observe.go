@@ -1,6 +1,6 @@
 // Observability wiring for the experiment sweep: the Context's tracer
-// plumbing (shared or per-experiment), the live-GPU registry behind the
-// HTTP server's /metrics feed, and the per-experiment trace files.
+// plumbing (shared or per-experiment), the live boundary snapshots behind
+// the HTTP server's /metrics feed, and the per-experiment trace files.
 package core
 
 import (
@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"gpuchar/internal/gpu"
 	"gpuchar/internal/metrics"
 	"gpuchar/internal/obsv"
 	"gpuchar/internal/workloads"
@@ -68,22 +67,20 @@ func (c *Context) finishExperimentTrace(id string, t *obsv.Tracer) error {
 	return f.Close()
 }
 
-// addLiveGPU registers an in-flight simulated render for LiveSnapshots.
-func (c *Context) addLiveGPU(demo string, g *gpu.GPU) {
+// setLive records an in-flight simulated render's last frame-boundary
+// snapshot for LiveSnapshots; nil drops the render once it finishes
+// (its counters remain visible through the cached MicroResult).
+func (c *Context) setLive(demo string, boundary *metrics.Snapshot) {
 	c.mu.Lock()
-	if c.liveGPUs == nil {
-		c.liveGPUs = map[string]*gpu.GPU{}
+	defer c.mu.Unlock()
+	if boundary == nil {
+		delete(c.live, demo)
+		return
 	}
-	c.liveGPUs[demo] = g
-	c.mu.Unlock()
-}
-
-// removeLiveGPU drops a finished render from the live registry (its
-// counters remain visible through the cached MicroResult).
-func (c *Context) removeLiveGPU(demo string) {
-	c.mu.Lock()
-	delete(c.liveGPUs, demo)
-	c.mu.Unlock()
+	if c.live == nil {
+		c.live = map[string]metrics.Snapshot{}
+	}
+	c.live[demo] = *boundary
 }
 
 // LiveSnapshots returns the sweep's counters as they stand right now:
@@ -94,30 +91,19 @@ func (c *Context) removeLiveGPU(demo string) {
 // observability server's /metrics endpoint.
 func (c *Context) LiveSnapshots() []metrics.Snapshot {
 	c.mu.Lock()
-	live := make(map[string]*gpu.GPU, len(c.liveGPUs))
-	for k, v := range c.liveGPUs {
-		live[k] = v
-	}
-	done := make(map[string]*MicroResult, len(c.microCache))
-	for k, v := range c.microCache {
-		done[k] = v
-	}
-	c.mu.Unlock()
-
-	var out []metrics.Snapshot
-	names := make([]string, 0, len(live))
-	for n := range live {
+	defer c.mu.Unlock()
+	names := make([]string, 0, len(c.live))
+	for n := range c.live {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	var out []metrics.Snapshot
 	for _, n := range names {
-		if s, ok := live[n].PublishedSnapshot(); ok {
-			out = append(out, s.WithLabels(
-				LabelDemo, n, LabelSource, SourceSim, LabelState, StateRunning))
-		}
+		out = append(out, c.live[n].WithLabels(
+			LabelDemo, n, LabelSource, SourceSim, LabelState, StateRunning))
 	}
 	for _, p := range workloads.Registry() {
-		if r, ok := done[p.Name]; ok {
+		if r, ok := c.microCache[p.Name]; ok {
 			out = append(out, r.Agg.MetricsSnapshot().WithLabels(
 				LabelDemo, p.Name, LabelSource, SourceSim, LabelState, StateDone))
 		}

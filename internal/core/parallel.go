@@ -1,9 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"gpuchar/internal/obsv"
 )
@@ -21,8 +21,9 @@ type prefetchJob struct {
 // embarrassingly parallel; experiments afterwards read the cached
 // results in paper order, making the final output independent of
 // completion order. With Workers <= 1 it is a no-op (the experiments
-// render lazily, exactly as before).
-func (c *Context) Prefetch(ids []string) error {
+// render lazily, exactly as before). Every render runs under ctx, and
+// no goroutine outlives the call.
+func (c *Context) Prefetch(ctx context.Context, ids []string) error {
 	if c.Workers <= 1 {
 		return nil
 	}
@@ -48,12 +49,17 @@ func (c *Context) Prefetch(ids []string) error {
 		wg.Add(1)
 		go func(i int, j prefetchJob) {
 			defer wg.Done()
-			sem <- struct{}{}
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				errs[i] = ctx.Err()
+				return
+			}
 			defer func() { <-sem }()
 			if j.micro {
-				_, errs[i] = c.Micro(j.name)
+				_, errs[i] = c.micro(ctx, j.name)
 			} else {
-				_, errs[i] = c.API(j.name)
+				_, errs[i] = c.api(ctx, j.name)
 			}
 		}(i, j)
 	}
@@ -78,8 +84,17 @@ func (c *Context) Prefetch(ids []string) error {
 // continues; the error return is then an ExperimentErrors aggregate
 // listing every failed experiment and every dropped demo alongside the
 // partial results.
-func RunExperiments(c *Context, ids []string) ([]*Result, error) {
-	if err := c.Prefetch(ids); err != nil {
+//
+// Every render runs under ctx, which is checked at each frame boundary:
+// once it is canceled or times out, the experiment in progress fails
+// with the context's error, and so does every later one that renders.
+// All work has stopped by the time RunExperiments returns.
+func RunExperiments(ctx context.Context, c *Context, ids []string) ([]*Result, error) {
+	c.mu.Lock()
+	c.ctx = ctx
+	c.mu.Unlock()
+	defer func() { c.mu.Lock(); c.ctx = nil; c.mu.Unlock() }()
+	if err := c.Prefetch(ctx, ids); err != nil {
 		return nil, err
 	}
 	out := make([]*Result, 0, len(ids))
@@ -96,7 +111,7 @@ func RunExperiments(c *Context, ids []string) ([]*Result, error) {
 		if e := ByID(id); e == nil {
 			err = fmt.Errorf("unknown experiment %q", id)
 		} else {
-			res, err = runExperiment(c, e)
+			res, err = runRecover(c, e)
 		}
 		sp.End()
 		if expTr != nil {
@@ -126,31 +141,8 @@ func RunExperiments(c *Context, ids []string) ([]*Result, error) {
 	return out, nil
 }
 
-// runExperiment executes one experiment under a recover guard and,
-// when Context.Deadline is set, a watchdog timer.
-func runExperiment(c *Context, e *Experiment) (*Result, error) {
-	if c.Deadline <= 0 {
-		return runRecover(c, e)
-	}
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := runRecover(c, e)
-		ch <- outcome{res, err}
-	}()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-time.After(c.Deadline):
-		return nil, fmt.Errorf("deadline %s exceeded", c.Deadline)
-	}
-}
-
-// runRecover converts a panic escaping an experiment's run function
-// (as opposed to a demo render, which runGuarded already covers) into
+// runRecover converts a panic escaping an experiment's run function (as
+// opposed to a demo render, which the render loop already guards) into
 // an error, so one broken table generator cannot take down the sweep.
 func runRecover(c *Context, e *Experiment) (res *Result, err error) {
 	defer func() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -149,7 +150,7 @@ func TestExperimentFanOutDeterminism(t *testing.T) {
 		ctx.SimFrames = 1
 		ctx.W, ctx.H = 96, 64
 		ctx.Workers = workers
-		results, err := RunExperiments(ctx, ids)
+		results, err := RunExperiments(context.Background(), ctx, ids)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,39 +1,52 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"gpuchar/internal/gfxapi"
 	"gpuchar/internal/gpu"
+	"gpuchar/internal/metrics"
 	"gpuchar/internal/workloads"
 )
 
-// TestRunAPIResumableMatchesRunAPI pins that the frame-by-frame path
-// produces exactly what the one-shot path does.
-func TestRunAPIResumableMatchesRunAPI(t *testing.T) {
+// directRender drives a workload to completion with no core loop in
+// between: the reference the loop's output is pinned against.
+func directRender(t *testing.T, prof *workloads.Profile, frames int) []gfxapi.FrameStats {
+	t.Helper()
+	dev := gfxapi.NewDevice(prof.API, gfxapi.NullBackend{})
+	wl := workloads.New(prof, dev, 1024, 768)
+	wl.SetRegionBoundary(frames / 2)
+	if err := wl.Run(frames); err != nil {
+		t.Fatal(err)
+	}
+	return dev.Frames()
+}
+
+// TestRenderAPIMatchesDirectRun pins that the render loop produces
+// exactly what driving the workload directly does.
+func TestRenderAPIMatchesDirectRun(t *testing.T) {
 	prof := workloads.ByName("Doom3/trdemo2")
-	want, err := RunAPI(prof, 10)
+	want := directRender(t, prof, 10)
+	got, err := RenderAPI(context.Background(), prof, 10, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAPIResumable(prof, 10, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(got.Frames) != len(want) {
+		t.Fatalf("got %d frames, want %d", len(got.Frames), len(want))
 	}
-	if len(got.Frames) != len(want.Frames) {
-		t.Fatalf("got %d frames, want %d", len(got.Frames), len(want.Frames))
-	}
-	for i := range want.Frames {
-		if got.Frames[i] != want.Frames[i] {
+	for i := range want {
+		if got.Frames[i] != want[i] {
 			t.Errorf("frame %d differs", i)
 		}
 	}
 }
 
-// TestRunAPIResumableResume kills a render mid-run via the hook, then
+// TestRenderAPIResume kills a render mid-run via the hook, then
 // restarts from the captured checkpoint and checks the spliced result
 // is bit-identical to a continuous run.
-func TestRunAPIResumableResume(t *testing.T) {
+func TestRenderAPIResume(t *testing.T) {
 	const total, cut = 10, 4
 	for _, name := range []string{"UT2004/Primeval", "Quake4/demo4", "Oblivion/Anvil Castle"} {
 		t.Run(name, func(t *testing.T) {
@@ -41,14 +54,14 @@ func TestRunAPIResumableResume(t *testing.T) {
 			if prof == nil {
 				t.Fatalf("unknown demo %q", name)
 			}
-			want, err := RunAPI(prof, total)
+			want, err := RenderAPI(context.Background(), prof, total, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			stop := errors.New("stop")
 			var ck *APICheckpoint
-			_, err = RunAPIResumable(prof, total, nil, func(c *APICheckpoint) error {
+			_, err = RenderAPI(context.Background(), prof, total, nil, func(c *APICheckpoint) error {
 				if c.Gen.FrameIdx == cut {
 					ck = c
 					return stop
@@ -62,7 +75,7 @@ func TestRunAPIResumableResume(t *testing.T) {
 				t.Fatalf("checkpoint = %+v, want %d frames", ck, cut)
 			}
 
-			got, err := RunAPIResumable(prof, total, ck, nil)
+			got, err := RenderAPI(context.Background(), prof, total, ck, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,34 +92,87 @@ func TestRunAPIResumableResume(t *testing.T) {
 	}
 }
 
-// TestRunAPIResumableRejectsBadCheckpoint pins the validation errors.
-func TestRunAPIResumableRejectsBadCheckpoint(t *testing.T) {
+// TestRenderAPIRejectsBadCheckpoint pins the validation errors.
+func TestRenderAPIRejectsBadCheckpoint(t *testing.T) {
 	prof := workloads.ByName("Doom3/trdemo2")
+	bg := context.Background()
 	bad := &APICheckpoint{Gen: workloads.GenState{FrameIdx: 3}} // 3 frames claimed, 0 carried
-	if _, err := RunAPIResumable(prof, 10, bad, nil); err == nil {
+	if _, err := RenderAPI(bg, prof, 10, bad, nil); err == nil {
 		t.Error("mismatched checkpoint accepted")
 	}
-	ok, err := RunAPIResumable(prof, 4, nil, nil)
+	ok, err := RenderAPI(bg, prof, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	past := &APICheckpoint{Gen: workloads.GenState{FrameIdx: 4}, Frames: ok.Frames}
-	if _, err := RunAPIResumable(prof, 2, past, nil); err == nil {
+	if _, err := RenderAPI(bg, prof, 2, past, nil); err == nil {
 		t.Error("checkpoint past requested frame count accepted")
 	}
 }
 
-// TestRunMicroCancelable pins that the cancelable simulated path matches
-// RunMicroConfig, and that the hook aborts between frames.
-func TestRunMicroCancelable(t *testing.T) {
+// TestRenderCancelAtFrameBoundary pins that a canceled context stops
+// either render at the next frame boundary with the context's error,
+// and that an API resume from the last checkpoint still splices
+// bit-identically.
+func TestRenderCancelAtFrameBoundary(t *testing.T) {
+	const total, cut = 8, 3
+	prof := workloads.ByName("Quake4/demo4")
+	want, err := RenderAPI(context.Background(), prof, total, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var last *APICheckpoint
+	_, err = RenderAPI(ctx, prof, total, nil, func(c *APICheckpoint) error {
+		last = c
+		if c.Gen.FrameIdx == cut {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if last == nil || len(last.Frames) != cut {
+		t.Fatalf("render ran past the cancel: last checkpoint %+v", last)
+	}
+	got, err := RenderAPI(context.Background(), prof, total, last, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Frames {
+		if got.Frames[i] != want.Frames[i] {
+			t.Errorf("frame %d differs after a canceled-then-resumed run", i)
+		}
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var seen []int
+	_, err = RenderMicro(ctx, workloads.ByName("Doom3/trdemo2"), 2, gpu.R520Config(160, 120),
+		func(f int, _ metrics.Snapshot) error {
+			seen = append(seen, f)
+			cancel()
+			return nil
+		})
+	if !errors.Is(err, context.Canceled) || len(seen) != 1 {
+		t.Errorf("canceled sim render: err = %v after frames %v, want context.Canceled after frame 0", err, seen)
+	}
+}
+
+// TestRenderMicroCancel pins that the observed simulated path matches
+// an unobserved render, and that the hook aborts between frames.
+func TestRenderMicroCancel(t *testing.T) {
 	prof := workloads.ByName("Doom3/trdemo2")
 	cfg := gpu.R520Config(160, 120)
-	want, err := RunMicroConfig(prof, 2, cfg)
+	bg := context.Background()
+	want, err := RenderMicro(bg, prof, 2, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seen []int
-	got, err := RunMicroCancelable(prof, 2, cfg, func(f int) error {
+	got, err := RenderMicro(bg, prof, 2, cfg, func(f int, _ metrics.Snapshot) error {
 		seen = append(seen, f)
 		return nil
 	})
@@ -129,11 +195,12 @@ func TestRunMicroCancelable(t *testing.T) {
 	}
 
 	stop := errors.New("stop")
-	if _, err := RunMicroCancelable(prof, 2, cfg, func(f int) error {
+	if _, err := RenderMicro(bg, prof, 2, cfg, func(int, metrics.Snapshot) error {
 		return stop
 	}); !errors.Is(err, stop) {
 		t.Errorf("err = %v, want the hook's abort error", err)
 	}
+
 }
 
 // TestSeedAPI proves a seeded context serves the result without
@@ -189,7 +256,7 @@ func TestNeededDemos(t *testing.T) {
 // TestAPIFrameSnapshotRoundTrip pins the checkpoint serialization form.
 func TestAPIFrameSnapshotRoundTrip(t *testing.T) {
 	prof := workloads.ByName("FEAR/interval2")
-	r, err := RunAPI(prof, 2)
+	r, err := RenderAPI(context.Background(), prof, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ type checkpointFile struct {
 	// code version: a mismatch discards the checkpoint.
 	Key string `json:"key"`
 	// API / Sim hold completed demo renders: demo name -> per-frame
-	// snapshot document.
+	// snapshot document (Sim entries append the per-pass snapshots).
 	API map[string]json.RawMessage `json:"api,omitempty"`
 	Sim map[string]json.RawMessage `json:"sim,omitempty"`
 	// Cur is the API render in flight, if any. Simulated renders carry
@@ -90,12 +90,16 @@ func decodeAPIFrames(raw json.RawMessage) ([]gfxapi.FrameStats, error) {
 	return frames, nil
 }
 
-// encodeSimFrames serializes per-frame simulator records the same way.
-func encodeSimFrames(frames []gpu.FrameStats) (json.RawMessage, error) {
-	snaps := make([]metrics.Snapshot, len(frames))
-	for i := range frames {
-		snaps[i] = frames[i].MetricsSnapshot()
+// encodeSimResult serializes a simulated render the same way: its
+// per-frame records followed by its per-pass snapshots (labeled
+// pass=<target>), so a restored multi-pass demo keeps its pass
+// dimension.
+func encodeSimResult(r *core.MicroResult) (json.RawMessage, error) {
+	snaps := make([]metrics.Snapshot, 0, len(r.Frames)+len(r.Pass))
+	for i := range r.Frames {
+		snaps = append(snaps, r.Frames[i].MetricsSnapshot())
 	}
+	snaps = append(snaps, r.Pass...)
 	var buf bytes.Buffer
 	if err := metrics.WriteJSON(&buf, snaps); err != nil {
 		return nil, err
@@ -103,14 +107,20 @@ func encodeSimFrames(frames []gpu.FrameStats) (json.RawMessage, error) {
 	return buf.Bytes(), nil
 }
 
-func decodeSimFrames(raw json.RawMessage) ([]gpu.FrameStats, error) {
+// decodeSimResult is the inverse of encodeSimResult.
+func decodeSimResult(raw json.RawMessage) ([]gpu.FrameStats, []metrics.Snapshot, error) {
 	snaps, err := metrics.ReadJSON(bytes.NewReader(raw))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	frames := make([]gpu.FrameStats, len(snaps))
-	for i, s := range snaps {
-		frames[i] = gpu.FrameStatsFromSnapshot(s)
+	var frames []gpu.FrameStats
+	var pass []metrics.Snapshot
+	for _, s := range snaps {
+		if s.Label(core.LabelPass) != "" {
+			pass = append(pass, s)
+		} else {
+			frames = append(frames, gpu.FrameStatsFromSnapshot(s))
+		}
 	}
-	return frames, nil
+	return frames, pass, nil
 }

@@ -23,7 +23,7 @@ import (
 // one build are never served for another (the simulator's counters are
 // bit-stable only within a build). Bump it when the characterization
 // output changes; tests override it to exercise invalidation.
-var CodeVersion = "gpuchar/3"
+var CodeVersion = "gpuchar/4"
 
 // JobSpec describes one characterization job: either an experiment
 // sweep over the synthetic workloads, or a replay of an uploaded trace

@@ -103,49 +103,57 @@ func TestKillRestartResumesAPIJob(t *testing.T) {
 
 // TestKillRestartResumesSimJob checks demo-granularity resume for
 // simulated work: completed sim demos are spliced from the checkpoint,
-// not re-simulated, and the final document is byte-identical.
+// not re-simulated, and the final document is byte-identical — for the
+// classic Table I demos and for the multi-pass ones, whose restored
+// demos must keep their per-pass snapshots.
 func TestKillRestartResumesSimJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated render in -short mode")
 	}
-	spec := JobSpec{Experiments: []string{"table7"}, SimFrames: 1, Width: 96, Height: 64}
-	want := expectedJSON(t, spec)
-	spool := t.TempDir()
-	cfg := Config{Workers: 1, SpoolDir: spool}
+	for _, exp := range []string{"table7", "multipass"} {
+		t.Run(exp, func(t *testing.T) {
+			spec := JobSpec{Experiments: []string{exp}, SimFrames: 1, Width: 96, Height: 64}
+			want := expectedJSON(t, spec)
+			spool := t.TempDir()
+			cfg := Config{Workers: 1, SpoolDir: spool}
 
-	s1, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := s1.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three simulated demos, one frame each: kill after the first lands.
-	mid := waitFrames(t, s1, v.ID, 1)
-	if mid.State.terminal() {
-		t.Fatalf("job finished before the kill: %+v", mid)
-	}
-	shutdownNow(t, s1)
+			s1, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := s1.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Three simulated demos, one frame each: kill after the first
+			// lands.
+			mid := waitFrames(t, s1, v.ID, 1)
+			if mid.State.terminal() {
+				t.Fatalf("job finished before the kill: %+v", mid)
+			}
+			shutdownNow(t, s1)
 
-	s2, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdownNow(t, s2)
-	final := waitJob(t, s2, v.ID)
-	if final.State != StateDone {
-		t.Fatalf("resumed job = %s (%s)", final.State, final.Error)
-	}
-	if final.FramesRestored == 0 {
-		t.Error("no sim demo restored from the checkpoint")
-	}
-	got, err := s2.Result(v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("resumed sim result differs from the uninterrupted document")
+			s2, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdownNow(t, s2)
+			final := waitJob(t, s2, v.ID)
+			if final.State != StateDone {
+				t.Fatalf("resumed job = %s (%s)", final.State, final.Error)
+			}
+			if final.FramesRestored == 0 {
+				t.Error("no sim demo restored from the checkpoint")
+			}
+			got, err := s2.Result(v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("resumed sim result differs from the uninterrupted document (%d bytes, want %d)",
+					len(got), len(want))
+			}
+		})
 	}
 }
 

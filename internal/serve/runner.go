@@ -15,7 +15,7 @@ import (
 
 // runJob executes one job to its metrics JSON document. The flow for an
 // experiment sweep: render every demo the experiments demand through
-// the resumable entry points (splicing in whatever the job's checkpoint
+// core.RenderAPI/RenderMicro (splicing in whatever the job's checkpoint
 // already holds), seed a single-worker core.Context with the results,
 // then run the experiments and export — byte-identical to a one-shot
 // `characterize -json` run, because the export reads the same seeded
@@ -72,7 +72,7 @@ func (s *Service) runJob(ctx context.Context, j *Job) ([]byte, error) {
 		}
 	}
 
-	if _, err := core.RunExperiments(cctx, spec.Experiments); err != nil {
+	if _, err := core.RunExperiments(ctx, cctx, spec.Experiments); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
@@ -104,8 +104,9 @@ func (s *Service) seedAPIFromCheckpoint(cctx *core.Context, j *Job, ck *checkpoi
 	return true, nil
 }
 
-// runAPIDemo renders one API demo resumably, checkpointing every
-// CheckpointEvery frames and at cancellation, then seeds the context.
+// runAPIDemo renders one API demo resumably under ctx, checkpointing
+// every CheckpointEvery frames and at cancellation, then seeds the
+// context.
 func (s *Service) runAPIDemo(ctx context.Context, j *Job, ck *checkpointFile,
 	cctx *core.Context, name string) error {
 
@@ -124,15 +125,11 @@ func (s *Service) runAPIDemo(ctx context.Context, j *Job, ck *checkpointFile,
 	ck.Cur = nil
 
 	sinceCkpt := 0
-	res, err := core.RunAPIResumable(prof, j.Spec.APIFrames, start, func(c *core.APICheckpoint) error {
+	var last *core.APICheckpoint
+	res, err := core.RenderAPI(ctx, prof, j.Spec.APIFrames, start, func(c *core.APICheckpoint) error {
 		s.addFrames(j, 1, 0)
 		sinceCkpt++
-		if cerr := ctx.Err(); cerr != nil {
-			// Final checkpoint exactly at the kill point: the resumed run
-			// loses zero frames. Best effort — the cancellation wins.
-			_ = s.persistCur(ck, name, c)
-			return cerr
-		}
+		last = c
 		if s.cfg.CheckpointEvery > 0 && sinceCkpt >= s.cfg.CheckpointEvery &&
 			c.Gen.FrameIdx < j.Spec.APIFrames {
 			sinceCkpt = 0
@@ -143,6 +140,11 @@ func (s *Service) runAPIDemo(ctx context.Context, j *Job, ck *checkpointFile,
 		return nil
 	})
 	if err != nil {
+		if last != nil && ctx.Err() != nil {
+			// Final checkpoint exactly at the kill point: the resumed run
+			// loses zero frames. Best effort — the cancellation wins.
+			_ = s.persistCur(ck, name, last)
+		}
 		return err
 	}
 	raw, err := encodeAPIFrames(res.Frames)
@@ -173,7 +175,7 @@ func (s *Service) seedSimFromCheckpoint(cctx *core.Context, j *Job, ck *checkpoi
 	if !ok {
 		return false, nil
 	}
-	frames, err := decodeSimFrames(raw)
+	frames, pass, err := decodeSimResult(raw)
 	if err != nil || len(frames) != j.Spec.SimFrames {
 		delete(ck.Sim, name)
 		return false, nil
@@ -185,19 +187,16 @@ func (s *Service) seedSimFromCheckpoint(cctx *core.Context, j *Job, ck *checkpoi
 	// The effective resolution may differ from the spec's when the
 	// hardware variant pins one (the res-* family).
 	cfg := j.Spec.hwVariant().GPUConfig(j.Spec.Width, j.Spec.Height)
-	r := &core.MicroResult{Prof: prof, W: cfg.Width, H: cfg.Height, Frames: frames}
-	for _, f := range frames {
-		r.Agg.Accumulate(f)
-	}
-	cctx.SeedMicro(name, r)
+	cctx.SeedMicro(name, core.NewMicroResult(prof, cfg.Width, cfg.Height, frames, pass))
 	s.addFrames(j, len(frames), len(frames))
 	return true, nil
 }
 
-// runSimDemo simulates one demo with frame-boundary cancellation.
-// Warm texture-cache state spans simulated frames, so there is no
-// mid-demo checkpoint — the demo lands in the checkpoint only when
-// complete, and a cancellation re-simulates it from scratch.
+// runSimDemo simulates one demo under ctx, which the render loop
+// checks at frame boundaries. Warm texture-cache state spans simulated
+// frames, so there is no mid-demo checkpoint — the demo lands in the
+// checkpoint only when complete, and a cancellation re-simulates it
+// from scratch.
 func (s *Service) runSimDemo(ctx context.Context, j *Job, ck *checkpointFile,
 	cctx *core.Context, name string) error {
 
@@ -212,18 +211,18 @@ func (s *Service) runSimDemo(ctx context.Context, j *Job, ck *checkpointFile,
 	// Each frame boundary streams its counter delta (published snapshot
 	// vs the previous boundary) to the explorer's SSE hub.
 	var prev metrics.Snapshot
-	res, err := core.RunMicroObserved(prof, j.Spec.SimFrames, cfg, func(frame int, boundary metrics.Snapshot) error {
+	res, err := core.RenderMicro(ctx, prof, j.Spec.SimFrames, cfg, func(frame int, boundary metrics.Snapshot) error {
 		s.addFrames(j, 1, 0)
 		if s.cfg.Explorer != nil {
 			s.cfg.Explorer.Publish(explorer.FrameEvent(j.ID, name, frame+1, boundary.Diff(prev)))
 			prev = boundary
 		}
-		return ctx.Err()
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	raw, err := encodeSimFrames(res.Frames)
+	raw, err := encodeSimResult(res)
 	if err != nil {
 		return err
 	}

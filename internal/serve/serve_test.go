@@ -23,7 +23,7 @@ func expectedJSON(t *testing.T, spec JobSpec) []byte {
 	c.W, c.H = spec.Width, spec.Height
 	c.TileWorkers = spec.TileWorkers
 	c.Workers = runtime.NumCPU()
-	if _, err := core.RunExperiments(c, spec.Experiments); err != nil {
+	if _, err := core.RunExperiments(context.Background(), c, spec.Experiments); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -255,6 +255,11 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if c := serviceCounter(t, s, "serve/jobs_canceled"); c != 2 {
 		t.Errorf("jobs_canceled = %d, want 2", c)
+	}
+	// The running render stopped at its next frame boundary; the
+	// watchdog never had to reap it.
+	if c := serviceCounter(t, s, "serve/recovered/jobs_reaped"); c != 0 {
+		t.Errorf("jobs_reaped = %d, want 0", c)
 	}
 	// A canceled ID stays known but has no result.
 	if _, err := s.Result(running.ID); err == nil {

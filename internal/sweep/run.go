@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/url"
@@ -114,7 +115,7 @@ func (LocalRunner) RunCell(cell Cell) ([]byte, bool, error) {
 	cctx.TileWorkers = cell.Job.TileWorkers
 	hw := cell.Config
 	cctx.HW = &hw
-	if _, err := core.RunExperiments(cctx, cell.Job.Experiments); err != nil {
+	if _, err := core.RunExperiments(context.TODO(), cctx, cell.Job.Experiments); err != nil {
 		return nil, false, err
 	}
 	var buf bytes.Buffer

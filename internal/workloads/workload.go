@@ -18,11 +18,6 @@ type Workload struct {
 	Dev  *gfxapi.Device
 	W, H int
 
-	// OnFrame, when set, is invoked after each frame completes (after
-	// Dev.EndFrame) with the zero-based frame index — the progress
-	// tracker's per-frame feed.
-	OnFrame func(frame int)
-
 	rng uint32
 
 	// Shader program variants. Averages of Tables IV and XII are hit by
@@ -672,9 +667,6 @@ func (wl *Workload) RenderFrame() {
 	}
 	wl.frameIdx++
 	wl.Dev.EndFrame()
-	if wl.OnFrame != nil {
-		wl.OnFrame(wl.frameIdx - 1)
-	}
 }
 
 func clampI(x, lo, hi int) int {
