@@ -11,34 +11,11 @@ import (
 	"gpuchar"
 )
 
-// benchWorkload builds a ready-to-render simulated pipeline, optionally
-// traced.
-func benchWorkload(tb testing.TB, tr *gpuchar.Tracer, w, h int) (*gpuchar.Workload, *gpuchar.GPU) {
-	tb.Helper()
-	prof := gpuchar.ProfileByName("Doom3/trdemo2")
-	cfg := gpuchar.R520Config(w, h)
-	cfg.Trace = tr
-	cfg.TraceProcess = prof.Name
-	g := gpuchar.NewGPU(cfg)
-	dev := gpuchar.NewDevice(prof.API, g)
-	wl := gpuchar.NewWorkload(prof, dev, w, h)
-	if err := wl.Setup(); err != nil {
-		tb.Fatal(err)
-	}
-	return wl, g
-}
-
 // BenchmarkPipelineFrameTraced is BenchmarkPipelineFrameDoom3 with a
 // full-rate tracer attached: every draw sampled, stage clocks on.
 // Compare against the untraced benchmark to see what tracing costs.
 func BenchmarkPipelineFrameTraced(b *testing.B) {
-	w, h := 256, 192
-	tr := gpuchar.NewTracer(gpuchar.TracerOptions{})
-	wl, _ := benchWorkload(b, tr, w, h)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wl.RenderFrame()
-	}
+	benchFrames(b, "Doom3/trdemo2", 1, gpuchar.NewTracer(gpuchar.TracerOptions{}))
 }
 
 // nilClockHook reproduces the shape of the untraced hot-path hook: load
@@ -63,8 +40,7 @@ func TestNilTracerOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed guard; skipped in -short mode")
 	}
-	w, h := 256, 192
-	wl, g := benchWorkload(t, nil, w, h)
+	wl, g := newPipeline(t, "Doom3/trdemo2", 1, nil)
 
 	// Warm frame: counts the per-frame hook executions.
 	if err := wl.Run(1); err != nil {
@@ -83,11 +59,7 @@ func TestNilTracerOverheadGuard(t *testing.T) {
 	hooksPerFrame := 8*quads + 4*tris + 64
 
 	frame := testing.Benchmark(func(b *testing.B) {
-		wl, _ := benchWorkload(b, nil, w, h)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wl.RenderFrame()
-		}
+		benchFrames(b, "Doom3/trdemo2", 1, nil)
 	})
 	var sink int64
 	hook := testing.Benchmark(func(b *testing.B) {

@@ -7,7 +7,6 @@ package gpuchar_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -32,30 +31,9 @@ func workerCounts() []int {
 func BenchmarkPipelineFrame(b *testing.B) {
 	for _, n := range workerCounts() {
 		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			benchFrameWorkers(b, "Doom3/trdemo2", n)
+			b.ReportAllocs()
+			benchFrames(b, "Doom3/trdemo2", n, nil)
 		})
-	}
-}
-
-func benchFrameWorkers(b *testing.B, demo string, tileWorkers int) {
-	b.Helper()
-	w, h := 256, 192
-	if os.Getenv("GPUCHAR_BENCH_FULL") != "" {
-		w, h = 1024, 768
-	}
-	prof := gpuchar.ProfileByName(demo)
-	cfg := gpuchar.R520Config(w, h)
-	cfg.TileWorkers = tileWorkers
-	g := gpuchar.NewGPU(cfg)
-	dev := gpuchar.NewDevice(prof.API, g)
-	wl := gpuchar.NewWorkload(prof, dev, w, h)
-	if err := wl.Setup(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wl.RenderFrame()
 	}
 }
 

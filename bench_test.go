@@ -124,10 +124,7 @@ func BenchmarkFig8FragmentInstr(b *testing.B) { runExperiment(b, "fig8") }
 // result to report.
 func simBench(b *testing.B, demo string, report func(*core.MicroResult)) {
 	b.Helper()
-	w, h := 256, 192
-	if os.Getenv("GPUCHAR_BENCH_FULL") != "" {
-		w, h = 1024, 768
-	}
+	w, h := simSize()
 	prof := gpuchar.ProfileByName(demo)
 	var last *core.MicroResult
 	for i := 0; i < b.N; i++ {
@@ -257,10 +254,7 @@ func BenchmarkTable17BytesPer(b *testing.B) {
 func ablationRun(b *testing.B, demo string, tweak func(*gpuchar.GPUConfig),
 	metric func(*core.MicroResult) (float64, string)) {
 	b.Helper()
-	w, h := 256, 192
-	if os.Getenv("GPUCHAR_BENCH_FULL") != "" {
-		w, h = 1024, 768
-	}
+	w, h := simSize()
 	prof := gpuchar.ProfileByName(demo)
 	var last *core.MicroResult
 	for i := 0; i < b.N; i++ {
@@ -352,43 +346,69 @@ func BenchmarkAblationDrawOrder(b *testing.B) {
 // --- End-to-end pipeline throughput ---
 
 func BenchmarkPipelineFrameUT2004(b *testing.B) {
-	benchFrame(b, "UT2004/Primeval")
+	reportFrags(b, benchFrames(b, "UT2004/Primeval", 1, nil))
 }
 
 func BenchmarkPipelineFrameDoom3(b *testing.B) {
-	benchFrame(b, "Doom3/trdemo2")
+	reportFrags(b, benchFrames(b, "Doom3/trdemo2", 1, nil))
 }
 
 func BenchmarkPipelineFrameQuake4(b *testing.B) {
-	benchFrame(b, "Quake4/demo4")
+	reportFrags(b, benchFrames(b, "Quake4/demo4", 1, nil))
 }
 
-func benchFrame(b *testing.B, demo string) {
-	b.Helper()
-	w, h := 256, 192
+// simSize returns the simulated frame size: a reduced 256x192, or the
+// paper's 1024x768 with GPUCHAR_BENCH_FULL set.
+func simSize() (w, h int) {
 	if os.Getenv("GPUCHAR_BENCH_FULL") != "" {
-		w, h = 1024, 768
+		return 1024, 768
 	}
+	return 256, 192
+}
+
+// newPipeline builds a ready-to-render simulated pipeline for demo at
+// simSize on tileWorkers tile workers (1 is the serial backend), traced
+// by tr when it is non-nil.
+func newPipeline(tb testing.TB, demo string, tileWorkers int, tr *gpuchar.Tracer) (*gpuchar.Workload, *gpuchar.GPU) {
+	tb.Helper()
+	w, h := simSize()
 	prof := gpuchar.ProfileByName(demo)
-	g := gpuchar.NewGPU(gpuchar.R520Config(w, h))
-	dev := gpuchar.NewDevice(prof.API, g)
-	wl := gpuchar.NewWorkload(prof, dev, w, h)
+	cfg := gpuchar.R520Config(w, h)
+	cfg.TileWorkers = tileWorkers
+	cfg.Trace = tr
+	cfg.TraceProcess = prof.Name
+	g := gpuchar.NewGPU(cfg)
+	wl := gpuchar.NewWorkload(prof, gpuchar.NewDevice(prof.API, g), w, h)
 	if err := wl.Setup(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return wl, g
+}
+
+// benchFrames times b.N frames of a newPipeline and returns its GPU for
+// the caller's metrics.
+func benchFrames(b *testing.B, demo string, tileWorkers int, tr *gpuchar.Tracer) *gpuchar.GPU {
+	b.Helper()
+	wl, g := newPipeline(b, demo, tileWorkers, tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wl.RenderFrame()
 	}
 	b.StopTimer()
+	return g
+}
+
+// reportFrags reports the mean fragments rasterized per frame.
+func reportFrags(b *testing.B, g *gpuchar.GPU) {
 	frames := g.Frames()
-	if len(frames) > 0 {
-		var frags int64
-		for _, f := range frames {
-			frags += f.Rast.Fragments
-		}
-		b.ReportMetric(float64(frags)/float64(len(frames)), "frags/frame")
+	if len(frames) == 0 {
+		return
 	}
+	var frags int64
+	for _, f := range frames {
+		frags += f.Rast.Fragments
+	}
+	b.ReportMetric(float64(frags)/float64(len(frames)), "frags/frame")
 }
 
 // BenchmarkAPIFrame measures the pure API-level path (null backend).

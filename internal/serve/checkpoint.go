@@ -15,14 +15,13 @@ import (
 // fails loudly instead of resuming from a misread file. The v1.1
 // envelopes (see spool.go) add a SHA-256 over the body — torn, stale or
 // bit-rotted files are detected and quarantined on load. Bare v1
-// bodies, written before the checksum existed, are still readable.
+// bodies, written before the checksum existed, fail that check too.
 const (
 	CheckpointSchema     = "gpuchar/checkpoint/v1.1"
 	checkpointBodySchema = "gpuchar/checkpoint/v1"
 	JobFileSchema        = "gpuchar/job/v1.1"
 	jobBodySchema        = "gpuchar/job/v1"
 	ResultFileSchema     = "gpuchar/result/v1.1"
-	resultBodySchema     = metrics.SchemaID // legacy bare result documents
 )
 
 // jobFile is the persisted submission record (the envelope body).

@@ -129,7 +129,7 @@ func (sp *spool) loadCheckpoint(id, key string) (*checkpointFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := openSealed(doc, CheckpointSchema, checkpointBodySchema)
+	body, err := openSealed(doc, CheckpointSchema)
 	if err != nil {
 		sp.quarantine(path, &sp.quarantinedCheckpoints)
 		return nil, nil
@@ -184,7 +184,7 @@ func (sp *spool) loadResult(id string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	body, err := openSealed(doc, ResultFileSchema, resultBodySchema)
+	body, err := openSealed(doc, ResultFileSchema)
 	if err != nil {
 		sp.quarantine(path, &sp.quarantinedResults)
 		return nil, false
@@ -234,7 +234,7 @@ func (sp *spool) scan() ([]*Job, error) {
 			sp.quarantine(path, &sp.quarantinedJobs)
 			continue
 		}
-		body, err := openSealed(doc, JobFileSchema, jobBodySchema)
+		body, err := openSealed(doc, JobFileSchema)
 		if err != nil {
 			sp.quarantine(path, &sp.quarantinedJobs)
 			continue
@@ -287,26 +287,19 @@ func seal(schema string, body []byte) ([]byte, error) {
 	return json.Marshal(envelope{Schema: schema, SHA256: hex.EncodeToString(sum[:]), Body: body})
 }
 
-// openSealed unwraps and verifies an envelope. A legacySchema (when
-// non-empty) accepts a bare pre-v1.1 document whose own top-level
-// schema field matches — read-compat for spools written before the
-// checksum existed; those carry no checksum to verify.
-func openSealed(doc []byte, schema, legacySchema string) ([]byte, error) {
+// openSealed unwraps and verifies an envelope sealed under schema. Any
+// other document, a bare pre-v1.1 body included, is rejected.
+func openSealed(doc []byte, schema string) ([]byte, error) {
 	var env envelope
 	if err := json.Unmarshal(doc, &env); err != nil {
 		return nil, fmt.Errorf("serve: envelope: %w", err)
 	}
-	switch env.Schema {
-	case schema:
-		sum := sha256.Sum256(env.Body)
-		if hex.EncodeToString(sum[:]) != env.SHA256 {
-			return nil, fmt.Errorf("serve: %s: checksum mismatch", schema)
-		}
-		return env.Body, nil
-	case legacySchema:
-		if legacySchema != "" {
-			return doc, nil
-		}
+	if env.Schema != schema {
+		return nil, fmt.Errorf("serve: schema %q, want %q", env.Schema, schema)
 	}
-	return nil, fmt.Errorf("serve: schema %q, want %q", env.Schema, schema)
+	sum := sha256.Sum256(env.Body)
+	if hex.EncodeToString(sum[:]) != env.SHA256 {
+		return nil, fmt.Errorf("serve: %s: checksum mismatch", schema)
+	}
+	return env.Body, nil
 }

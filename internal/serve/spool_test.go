@@ -21,7 +21,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := openSealed(doc, JobFileSchema, jobBodySchema)
+	got, err := openSealed(doc, JobFileSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,49 +36,68 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	}
 	env.Body[3] ^= 0x40
 	tampered, _ := json.Marshal(env)
-	if _, err := openSealed(tampered, JobFileSchema, jobBodySchema); err == nil {
+	if _, err := openSealed(tampered, JobFileSchema); err == nil {
 		t.Error("tampered envelope passed its checksum")
 	}
 
-	if _, err := openSealed(doc, ResultFileSchema, resultBodySchema); err == nil {
+	if _, err := openSealed(doc, ResultFileSchema); err == nil {
 		t.Error("job envelope accepted under the result schema")
 	}
 }
 
-// TestLegacyBareDocsAccepted pins read-compat with pre-v1.1 spools:
-// a bare body document whose own schema field matches the legacy
-// schema is accepted verbatim (it carries no checksum to verify).
-func TestLegacyBareDocsAccepted(t *testing.T) {
-	legacy := []byte(`{"schema":"gpuchar/checkpoint/v1","job_id":"j0001-aaaa","key":"k"}`)
-	got, err := openSealed(legacy, CheckpointSchema, checkpointBodySchema)
-	if err != nil {
-		t.Fatal(err)
+// TestBareV1DocsQuarantined pins that pre-v1.1 bare documents, written
+// before the checksummed envelope existed, are not trusted: a bare job,
+// checkpoint or result file fails its schema check on load and is moved
+// to quarantine/ and counted, like any other corrupt spool file.
+func TestBareV1DocsQuarantined(t *testing.T) {
+	const id = "j0001-aaaa"
+	spec := JobSpec{Experiments: []string{"table3"}, APIFrames: 4}.normalized()
+	// Neither document can fail to marshal.
+	bareJob, _ := json.Marshal(jobFile{Schema: jobBodySchema, ID: id, Spec: spec})
+	bareCkpt, _ := json.Marshal(newCheckpoint(id, spec.key()))
+	bareResult := []byte(`{"schema":"gpuchar/metrics/v1","snapshots":[]}`)
+	cases := []struct {
+		name, file, counter string
+		sealedJob           bool // a valid job file rides along, so the job runs
+		bare                []byte
+	}{
+		{"job", id + ".job.json", "serve/recovered/jobs_quarantined", false, bareJob},
+		{"checkpoint", id + ".ckpt.json", "serve/recovered/checkpoints_quarantined", true, bareCkpt},
+		{"result", id + ".result.json", "serve/recovered/results_quarantined", true, bareResult},
 	}
-	if !bytes.Equal(got, legacy) {
-		t.Error("legacy document was not returned verbatim")
-	}
-	// With no legacy schema allowed, the same document is rejected.
-	if _, err := openSealed(legacy, CheckpointSchema, ""); err == nil {
-		t.Error("bare document accepted with legacy compat disabled")
-	}
-}
-
-// TestLegacyCheckpointLoads proves an old bare-v1 checkpoint written
-// before the envelope existed still resumes.
-func TestLegacyCheckpointLoads(t *testing.T) {
-	dir := t.TempDir()
-	sp := newSpool(dir, nil)
-	ck := newCheckpoint("j0001-aaaa", "key1")
-	raw, _ := json.Marshal(ck)
-	if err := os.WriteFile(sp.ckptPath("j0001-aaaa"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sp.loadCheckpoint("j0001-aaaa", "key1")
-	if err != nil || got == nil {
-		t.Fatalf("legacy checkpoint did not load: %+v, %v", got, err)
-	}
-	if got.JobID != "j0001-aaaa" || got.Key != "key1" {
-		t.Errorf("legacy checkpoint fields lost: %+v", got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.sealedJob {
+				if err := newSpool(dir, nil).writeJob(&Job{ID: id, Spec: spec}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, tc.file), tc.bare, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(Config{Workers: 1, SpoolDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdownNow(t, s)
+			if tc.sealedJob {
+				if v := waitJob(t, s, id); v.State != StateDone {
+					t.Fatalf("job = %+v; want done", v)
+				}
+				if got, err := s.Result(id); err != nil || bytes.Equal(got, bareResult) {
+					t.Errorf("result served from the bare file (%v)", err)
+				}
+			} else if n := len(s.Jobs()); n != 0 {
+				t.Errorf("%d jobs from a bare job file", n)
+			}
+			if n := serviceCounter(t, s, tc.counter); n != 1 {
+				t.Errorf("%s = %d; want 1", tc.counter, n)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "quarantine", tc.file)); err != nil {
+				t.Errorf("bare %s not moved to quarantine: %v", tc.name, err)
+			}
+		})
 	}
 }
 

@@ -15,17 +15,22 @@ import (
 // byte-correct completion.
 func TestWatchdogReapsHungJob(t *testing.T) {
 	spec := JobSpec{Experiments: []string{"table3"}, APIFrames: 4}
+	start := time.Now()
 	want := expectedJSON(t, spec)
 	// One hang: the first job blocks until the injector closes,
 	// ignoring its context entirely — exactly what the watchdog is for.
-	// JobTimeout is generous enough for the healthy second job; the
-	// hung one burns timeout + grace before the reap.
+	// JobTimeout must be generous enough for the healthy second job,
+	// which the service runs on one worker while expectedJSON rendered
+	// on NumCPU, so it scales with the measured reference render (slow
+	// under -race on a small host). The hung job burns timeout + grace
+	// before the reap.
+	timeout := max(time.Second, 10*time.Since(start))
 	inj := fault.New(3, fault.Rule{Site: fault.Exec, Kind: fault.Hang, Prob: 1, Count: 1})
 	defer inj.Close()
 	s, err := Open(Config{
 		Workers:    1,
 		Inject:     inj,
-		JobTimeout: time.Second,
+		JobTimeout: timeout,
 		HangGrace:  150 * time.Millisecond,
 	})
 	if err != nil {
