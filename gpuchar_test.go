@@ -75,3 +75,26 @@ func TestFacadeGPUConstruction(t *testing.T) {
 	var b gpuchar.Backend = gpuchar.NullBackend{}
 	_ = gpuchar.NewDevice(gpuchar.Direct3D, b)
 }
+
+// warmFrameAllocCeiling bounds the allocations of one warm serial Doom3
+// frame at 64x48. The draw path allocates nothing once warm; what is
+// left is per-frame bookkeeping (the frame-boundary metrics snapshot and
+// stage statistics), measured at about 100-120 allocations per frame.
+// Before the allocation-free draw path the same frame made about 140k.
+const warmFrameAllocCeiling = 400
+
+// TestWarmFrameAllocCeiling keeps per-draw and per-triangle allocation
+// out of the simulator: one more allocation per draw or per triangle
+// would take a Doom3 frame far past the ceiling.
+func TestWarmFrameAllocCeiling(t *testing.T) {
+	prof := gpuchar.ProfileByName("Doom3/trdemo2")
+	g := gpuchar.NewGPU(gpuchar.R520Config(64, 48))
+	wl := gpuchar.NewWorkload(prof, gpuchar.NewDevice(prof.API, g), 64, 48)
+	if err := wl.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	wl.RenderFrame() // grow every scratch buffer
+	if n := testing.AllocsPerRun(3, func() { wl.RenderFrame() }); n > warmFrameAllocCeiling {
+		t.Errorf("warm Doom3 frame allocates %v times, ceiling %d", n, warmFrameAllocCeiling)
+	}
+}

@@ -64,11 +64,20 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(t)
 }
 
+// slot is one entry of the line-address index.
+type slot struct {
+	key uint64 // line address
+	val int32  // line index + 1; 0 marks an empty slot
+}
+
 type line struct {
 	// lineAddr is the full line address (addr >> lineShift); it doubles
-	// as the index key, so eviction can drop the map entry.
+	// as the index key, so eviction can drop the index entry.
 	lineAddr uint64
 	dirty    bool
+	// set is the line's set (lineAddr % Sets), kept so a hit needs no
+	// division.
+	set int32
 	// prev/next chain the line into its set's LRU list (-1 terminated);
 	// the list runs LRU (head) to MRU (tail). A line is valid iff it is
 	// on a list.
@@ -78,13 +87,13 @@ type line struct {
 // Cache is a set-associative, write-allocate, write-back cache with LRU
 // replacement.
 //
-// Lookups and victim selection are O(1): a line-address index replaces
-// the way scan and an intrusive per-set LRU list replaces the age-stamp
-// victim scan. The observable behavior — every hit/miss outcome, victim
-// choice, fill and write-back — is byte-identical to the reference
-// scan-based model (kept in the package tests as refCache), including
-// its fill order for not-yet-valid ways: the reference victim scan
-// starts preferring invalid lines at way 1, so a set fills ways
+// Lookups and victim selection are O(1): an open-addressed line-address
+// index replaces the way scan and an intrusive per-set LRU list replaces
+// the age-stamp victim scan. The observable behavior — every hit/miss
+// outcome, victim choice, fill and write-back — is byte-identical to the
+// reference scan-based model (kept in the package tests as refCache),
+// including its fill order for not-yet-valid ways: the reference victim
+// scan starts preferring invalid lines at way 1, so a set fills ways
 // 1, 2, …, W-1 and then way 0.
 type Cache struct {
 	cfg       Config
@@ -92,8 +101,14 @@ type Cache struct {
 	stats     Stats
 	lineShift uint
 
-	// idx maps line address -> index into lines for valid lines.
-	idx map[uint64]int32
+	// idx maps line address -> index into lines for valid lines: an
+	// open-addressed table (power-of-two size, at least twice the line
+	// count, multiplicative hash, linear probing). A slot's val is the
+	// line index plus one, so the zero slot is empty and clear empties
+	// the table.
+	idx     []slot
+	idxMask uint64
+	idxBits uint
 	// used counts the valid ways of each set; lines only invalidate
 	// wholesale (Flush/Invalidate), so a set's valid ways are exactly
 	// the first used entries of its fill order.
@@ -124,11 +139,18 @@ func New(cfg Config) (*Cache, error) {
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
+	n := cfg.Sets * cfg.Ways
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
 	c := &Cache{
 		cfg:       cfg,
-		lines:     make([]line, cfg.Sets*cfg.Ways),
+		lines:     make([]line, n),
 		lineShift: shift,
-		idx:       make(map[uint64]int32, cfg.Sets*cfg.Ways),
+		idx:       make([]slot, 1<<bits),
+		idxMask:   1<<bits - 1,
+		idxBits:   bits,
 		used:      make([]int32, cfg.Sets),
 		head:      make([]int32, cfg.Sets),
 		tail:      make([]int32, cfg.Sets),
@@ -162,6 +184,53 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // RegisterMetrics binds the cache's live counters into r under prefix.
 func (c *Cache) RegisterMetrics(r *metrics.Registry, prefix string) {
 	c.stats.Register(r, prefix)
+}
+
+// home returns the index slot a line address hashes to (Fibonacci
+// multiplicative hashing: the top bits of the product).
+func (c *Cache) home(lineAddr uint64) uint64 {
+	return (lineAddr * 0x9E3779B97F4A7C15) >> (64 - c.idxBits)
+}
+
+// lookup returns the line holding lineAddr, or -1.
+func (c *Cache) lookup(lineAddr uint64) int32 {
+	for h := c.home(lineAddr); ; h = (h + 1) & c.idxMask {
+		s := &c.idx[h]
+		if s.val == 0 {
+			return -1
+		}
+		if s.key == lineAddr {
+			return s.val - 1
+		}
+	}
+}
+
+// insert indexes line i under lineAddr, which must not be present.
+func (c *Cache) insert(lineAddr uint64, i int32) {
+	h := c.home(lineAddr)
+	for c.idx[h].val != 0 {
+		h = (h + 1) & c.idxMask
+	}
+	c.idx[h] = slot{key: lineAddr, val: i + 1}
+}
+
+// remove drops lineAddr, which must be present, from the index with
+// backward-shift deletion: every later entry of the probe run whose home
+// does not lie cyclically in (hole, entry] moves back into the hole, so
+// probe runs stay unbroken without tombstones.
+func (c *Cache) remove(lineAddr uint64) {
+	h := c.home(lineAddr)
+	for c.idx[h].key != lineAddr || c.idx[h].val == 0 {
+		h = (h + 1) & c.idxMask
+	}
+	hole := h
+	for j := (hole + 1) & c.idxMask; c.idx[j].val != 0; j = (j + 1) & c.idxMask {
+		if (j-c.home(c.idx[j].key))&c.idxMask >= (j-hole)&c.idxMask {
+			c.idx[hole] = c.idx[j]
+			hole = j
+		}
+	}
+	c.idx[hole] = slot{}
 }
 
 // unlink removes line i from set's LRU list.
@@ -205,8 +274,8 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		c.stats.Hits++
 		return true
 	}
-	if i, ok := c.idx[lineAddr]; ok {
-		set := int(lineAddr % uint64(c.cfg.Sets))
+	if i := c.lookup(lineAddr); i >= 0 {
+		set := int(c.lines[i].set)
 		if c.tail[set] != i {
 			c.unlink(set, i)
 			c.pushMRU(set, i)
@@ -237,17 +306,28 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 		if v.dirty {
 			c.stats.WritebackBytes += int64(c.cfg.LineBytes)
 		}
-		delete(c.idx, v.lineAddr)
+		c.remove(v.lineAddr)
 		c.unlink(set, vi)
 	}
 	c.stats.Misses++
 	c.stats.FillBytes += int64(c.cfg.LineBytes)
-	c.lines[vi] = line{lineAddr: lineAddr, dirty: write, prev: -1, next: -1}
+	c.lines[vi] = line{lineAddr: lineAddr, dirty: write, set: int32(set), prev: -1, next: -1}
 	c.pushMRU(set, vi)
-	c.idx[lineAddr] = vi
+	c.insert(lineAddr, vi)
 	c.mruLineAddr, c.mruIdx = lineAddr, vi
 	return false
 }
+
+// RepeatHits records n more reads of the line the previous Access
+// touched, with no Flush or Invalidate since. That line is the MRU line,
+// so each such read is a hit that changes nothing else: RepeatHits(n) is
+// exactly n calls of Access(addr, false) with addr in that line, without
+// the calls.
+func (c *Cache) RepeatHits(n int64) { c.stats.Hits += n }
+
+// LineShift returns log2(LineBytes): two addresses share a line iff
+// they agree after shifting right by it.
+func (c *Cache) LineShift() uint { return c.lineShift }
 
 // Flush writes back all dirty lines and invalidates the cache, adding the
 // corresponding write-back traffic. Real pipelines do this between frames.

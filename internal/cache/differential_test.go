@@ -105,6 +105,7 @@ func TestCacheMatchesReference(t *testing.T) {
 		{Ways: 1, Sets: 8, LineBytes: 32},   // direct-mapped stress
 		{Ways: 4, Sets: 3, LineBytes: 16},   // non-power-of-two sets
 		{Ways: 2, Sets: 1, LineBytes: 64},   // tiny, eviction-heavy
+		{Ways: 256, Sets: 1, LineBytes: 64}, // texl0-4x: churns the index
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.String(), func(t *testing.T) {
@@ -138,6 +139,58 @@ func TestCacheMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCacheMatchesReference searches for a geometry and an operation
+// stream on which the cache and the reference scan model disagree:
+// 1-256 ways, set counts that need not be powers of two, line sizes 1 B
+// to 256 B, and a read/write stream with interleaved Flush and
+// Invalidate. The ops bytes are decoded three to an operation; a seeded
+// random tail then churns the index long enough to exercise
+// backward-shift deletion across wrapped probe runs.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add(uint8(63), uint8(0), uint8(6), int64(1), []byte{2, 0, 1, 3, 0, 2, 0, 0, 0})
+	f.Add(uint8(255), uint8(0), uint8(6), int64(2), []byte{})
+	f.Add(uint8(3), uint8(2), uint8(4), int64(3), []byte{3, 1, 7, 1, 0, 0, 2, 0, 7})
+	f.Add(uint8(0), uint8(6), uint8(0), int64(4), []byte{5, 255, 255})
+	f.Fuzz(func(t *testing.T, ways, sets, lineShift uint8, seed int64, ops []byte) {
+		cfg := Config{Ways: int(ways) + 1, Sets: int(sets)%24 + 1, LineBytes: 1 << (lineShift % 9)}
+		got := MustNew(cfg)
+		want := newRefCache(cfg)
+		lines := uint64(cfg.Ways * cfg.Sets)
+		step := func(op int, kind byte, lineIdx uint64) {
+			switch kind % 16 {
+			case 0:
+				got.Flush()
+				want.Flush()
+			case 1:
+				got.Invalidate()
+				want.Invalidate()
+			default:
+				// Four times the capacity in lines, plus an offset
+				// inside the line.
+				addr := (lineIdx%(lines*4))*uint64(cfg.LineBytes) + uint64(kind)%uint64(cfg.LineBytes)
+				write := kind&1 == 1
+				if g, w := got.Access(addr, write), want.Access(addr, write); g != w {
+					t.Fatalf("%v op %d: Access(%#x, %v) = %v, reference %v", cfg, op, addr, write, g, w)
+				}
+			}
+			if gs, ws := got.Stats(), want.stats; gs != ws {
+				t.Fatalf("%v op %d: stats diverged: got %+v, reference %+v", cfg, op, gs, ws)
+			}
+		}
+		for i := 0; i+2 < len(ops); i += 3 {
+			step(i/3, ops[i], uint64(ops[i+1])<<8|uint64(ops[i+2]))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for op := 0; op < 2000; op++ {
+			kind := byte(rng.Intn(256))
+			if kind%16 < 2 && rng.Intn(8) != 0 {
+				kind += 2 // flushes stay rare enough for the index to fill
+			}
+			step(len(ops)/3+op, kind, rng.Uint64())
+		}
+	})
 }
 
 // TestCacheRepeatAccessFastPath pins the MRU fast path: repeated

@@ -177,16 +177,32 @@ type Config struct {
 }
 
 // Pipeline is the geometry engine. It owns the post-transform vertex
-// cache and a scratch table of shaded vertices.
+// cache and every scratch buffer of a draw, all reused across draws, so
+// a warm Draw allocates nothing.
 type Pipeline struct {
 	VCache  *cache.VertexCache
 	Machine *shader.Machine
 	Memctl  *mem.Controller
 
-	// scratch, reused across draws
+	// shaded is the table of shaded vertices; epoch[i] == gen marks
+	// entry i as shaded in this draw.
 	shaded []ShadedVertex
 	epoch  []uint32
 	gen    uint32
+
+	// vsIn/vsOut are the vertex shader's register files.
+	vsIn  [shader.NumInputs]gmath.Vec4
+	vsOut [shader.NumOutputs]gmath.Vec4
+	// idx is the draw's in-range index list, asm its assembled
+	// triangles.
+	idx []uint32
+	asm [][3]uint32
+	// clipA and clipB are the clipper's polygons, swapping between input
+	// and output at each plane; screen holds the projected polygon.
+	clipA, clipB []ShadedVertex
+	screen       []ScreenVertex
+	// out is the returned triangle list.
+	out []Triangle
 
 	// stats accumulates across draws; the metrics registry binds to it.
 	stats Stats
@@ -218,6 +234,9 @@ func NewPipeline(m *shader.Machine, memctl *mem.Controller) *Pipeline {
 // Draw runs one batch through the geometry pipeline and returns the
 // screen triangles to rasterize plus the per-draw statistics. The vertex
 // shader program's constants must already be loaded into the Machine.
+//
+// The returned slice is the pipeline's own buffer: it is valid only
+// until the next Draw, which overwrites it.
 func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 	vs *shader.Program, cfg Config) ([]Triangle, Stats) {
 
@@ -227,12 +246,13 @@ func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 		return nil, st
 	}
 	p.ensureScratch(nv)
+	p.out = p.out[:0]
 	// A new batch invalidates the post-transform cache: shader state and
 	// stream bindings changed.
 	p.VCache.Clear()
 
 	// Shade (through the vertex cache) every referenced index.
-	shadedIdx := make([]uint32, 0, len(ib.Indices))
+	p.idx = p.idx[:0]
 	for _, idx := range ib.Indices {
 		if int(idx) >= nv {
 			continue // out-of-range index: drop, like a defensive driver
@@ -252,18 +272,17 @@ func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 			// this scratch table; reshade to keep values fresh.
 			p.shadeVertex(vb, idx, vs)
 		}
-		shadedIdx = append(shadedIdx, idx)
+		p.idx = append(p.idx, idx)
 	}
 
 	// Assemble primitives and clip/cull/transform.
-	tris := assemble(shadedIdx, prim)
-	st.TrianglesAssembled += int64(len(tris))
-	var out []Triangle
-	for _, tri := range tris {
+	p.asm = assemble(p.asm[:0], p.idx, prim)
+	st.TrianglesAssembled += int64(len(p.asm))
+	for _, tri := range p.asm {
 		v0 := &p.shaded[tri[0]]
 		v1 := &p.shaded[tri[1]]
 		v2 := &p.shaded[tri[2]]
-		outcome := p.clipCullEmit(v0, v1, v2, cfg, &out)
+		outcome := p.clipCullEmit(v0, v1, v2, cfg)
 		switch outcome {
 		case resultClipped:
 			st.TrianglesClipped++
@@ -274,7 +293,7 @@ func (p *Pipeline) Draw(vb *VertexBuffer, ib *IndexBuffer, prim PrimitiveType,
 		}
 	}
 	p.stats.add(st)
-	return out, st
+	return p.out, st
 }
 
 func (p *Pipeline) ensureScratch(nv int) {
@@ -288,26 +307,26 @@ func (p *Pipeline) ensureScratch(nv int) {
 }
 
 func (p *Pipeline) shadeVertex(vb *VertexBuffer, idx uint32, vs *shader.Program) {
-	var in [shader.NumInputs]gmath.Vec4
+	p.vsIn = [shader.NumInputs]gmath.Vec4{}
 	for slot, data := range vb.Attribs {
 		if slot >= shader.NumInputs {
 			break
 		}
-		in[slot] = data[idx]
+		p.vsIn[slot] = data[idx]
 	}
-	var out [shader.NumOutputs]gmath.Vec4
-	p.Machine.RunVertex(vs, &in, &out)
+	p.vsOut = [shader.NumOutputs]gmath.Vec4{}
+	p.Machine.RunVertex(vs, &p.vsIn, &p.vsOut)
 	sv := &p.shaded[idx]
-	sv.ClipPos = out[0]
+	sv.ClipPos = p.vsOut[0]
 	for i := 0; i < NumVaryings; i++ {
-		sv.Var[i] = out[1+i]
+		sv.Var[i] = p.vsOut[1+i]
 	}
 	p.epoch[idx] = p.gen
 }
 
-// assemble converts an index stream to triangles (as index triples).
-func assemble(idx []uint32, prim PrimitiveType) [][3]uint32 {
-	var tris [][3]uint32
+// assemble appends the triangles (as index triples) of an index stream
+// to tris.
+func assemble(tris [][3]uint32, idx []uint32, prim PrimitiveType) [][3]uint32 {
 	switch prim {
 	case TriangleList:
 		for i := 0; i+2 < len(idx); i += 3 {
@@ -339,10 +358,8 @@ const (
 )
 
 // clipCullEmit classifies one assembled triangle and appends its screen
-// triangles to out when it survives.
-func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config,
-	out *[]Triangle) clipResult {
-
+// triangles to p.out when it survives.
+func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config) clipResult {
 	c0 := gmath.OutcodeOf(v0.ClipPos)
 	c1 := gmath.OutcodeOf(v1.ClipPos)
 	c2 := gmath.OutcodeOf(v2.ClipPos)
@@ -350,21 +367,23 @@ func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config,
 		return resultClipped // trivially outside one plane
 	}
 
-	verts := []ShadedVertex{*v0, *v1, *v2}
+	verts := append(p.clipA[:0], *v0, *v1, *v2)
+	p.clipA = verts
 	if c0|c1|c2 != 0 {
 		// Straddles the frustum: Sutherland-Hodgman clip in homogeneous
 		// space against all six planes.
-		verts = clipPolygon(verts)
+		verts = p.clipPolygon()
 		if len(verts) < 3 {
 			return resultClipped
 		}
 	}
 
 	// Project to screen space.
-	screen := make([]ScreenVertex, len(verts))
+	screen := p.screen[:0]
 	for i := range verts {
-		screen[i] = toScreen(&verts[i], cfg)
+		screen = append(screen, toScreen(&verts[i], cfg))
 	}
+	p.screen = screen
 
 	// Face cull using the signed area of the first sub-triangle (the
 	// polygon is planar and convex, so all sub-triangles agree).
@@ -392,7 +411,7 @@ func (p *Pipeline) clipCullEmit(v0, v1, v2 *ShadedVertex, cfg Config,
 
 	// Fan-triangulate the clipped polygon.
 	for i := 1; i+1 < len(screen); i++ {
-		*out = append(*out, Triangle{
+		p.out = append(p.out, Triangle{
 			V:                 [3]ScreenVertex{screen[0], screen[i], screen[i+1]},
 			CountsAsTraversed: i == 1,
 			FrontFacing:       front,
@@ -407,16 +426,17 @@ func reverse(s []ScreenVertex) {
 	}
 }
 
-// clipPolygon clips a convex polygon against the six frustum planes in
-// homogeneous space.
-func clipPolygon(in []ShadedVertex) []ShadedVertex {
+// clipPolygon clips the convex polygon in p.clipA against the six
+// frustum planes in homogeneous space. Each plane reads one of clipA
+// and clipB and writes the other; the result aliases one of them.
+func (p *Pipeline) clipPolygon() []ShadedVertex {
 	planes := gmath.FrustumPlanes()
-	poly := in
+	poly, next := p.clipA, p.clipB
 	for _, pl := range planes {
 		if len(poly) == 0 {
-			return nil
+			break
 		}
-		var next []ShadedVertex
+		next = next[:0]
 		for i := range poly {
 			cur := &poly[i]
 			prev := &poly[(i+len(poly)-1)%len(poly)]
@@ -431,8 +451,10 @@ func clipPolygon(in []ShadedVertex) []ShadedVertex {
 				next = append(next, *cur)
 			}
 		}
-		poly = next
+		poly, next = next, poly
 	}
+	// Keep both (possibly regrown) buffers for the next triangle.
+	p.clipA, p.clipB = poly, next
 	return poly
 }
 

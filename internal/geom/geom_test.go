@@ -374,3 +374,84 @@ func TestClassificationSumsToAssembled(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// reuseDraws is a draw sequence that exercises every scratch buffer:
+// plain, clipped (the clipper's polygons swap and grow), trivially
+// rejected, strip and fan assembly, and a buffer with fewer attribute
+// streams than the draw before it.
+func reuseDraws() []struct {
+	vb   *VertexBuffer
+	ib   *IndexBuffer
+	prim PrimitiveType
+} {
+	straddle := vbFromPositions([]gmath.Vec4{
+		{X: -3, Y: -0.5, Z: 0, W: 1},
+		{X: 3, Y: -0.5, Z: 0, W: 1},
+		{X: 0, Y: 3, Z: 0, W: 1},
+		{X: 5, Y: 5, Z: 0, W: 1},
+		{X: 6, Y: 5, Z: 0, W: 1},
+		{X: 5, Y: 6, Z: 0, W: 1},
+	})
+	posOnly := &VertexBuffer{
+		Attribs:     [][]gmath.Vec4{frontTriangle()},
+		StrideBytes: 16,
+	}
+	list := &IndexBuffer{Indices: []uint32{0, 1, 2, 3, 4, 5}, BytesPerIndex: 2}
+	tri := &IndexBuffer{Indices: []uint32{0, 1, 2}, BytesPerIndex: 2}
+	return []struct {
+		vb   *VertexBuffer
+		ib   *IndexBuffer
+		prim PrimitiveType
+	}{
+		{vbFromPositions(frontTriangle()), tri, TriangleList},
+		{straddle, list, TriangleList},
+		{straddle, list, TriangleStrip},
+		{straddle, list, TriangleFan},
+		{posOnly, tri, TriangleList},
+	}
+}
+
+// TestDrawScratchReuseMatchesFreshPipeline runs a draw sequence through
+// one pipeline, whose scratch buffers carry over between draws, and
+// each draw through a fresh pipeline: triangles and statistics must
+// agree. A stale vertex-shader input slot, clip polygon or output
+// triangle left from the previous draw would show here.
+func TestDrawScratchReuseMatchesFreshPipeline(t *testing.T) {
+	warm, vs, _ := newTestPipeline()
+	for i, d := range reuseDraws() {
+		got, gotSt := warm.Draw(d.vb, d.ib, d.prim, vs, defaultCfg)
+		got = append([]Triangle(nil), got...)
+		fresh, _, _ := newTestPipeline()
+		want, wantSt := fresh.Draw(d.vb, d.ib, d.prim, vs, defaultCfg)
+		if gotSt != wantSt {
+			t.Fatalf("draw %d: stats %+v, fresh pipeline %+v", i, gotSt, wantSt)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("draw %d: %d triangles, fresh pipeline %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("draw %d triangle %d: %+v, fresh pipeline %+v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestWarmDrawAllocatesNothing pins the allocation-free draw path: once
+// the scratch buffers have grown, a Draw that shades, clips (one
+// triangle straddles the frustum and splits) and emits allocates
+// nothing.
+func TestWarmDrawAllocatesNothing(t *testing.T) {
+	p, vs, _ := newTestPipeline()
+	draws := reuseDraws()
+	d := draws[1]
+	tris, st := p.Draw(d.vb, d.ib, d.prim, vs, defaultCfg)
+	if st.TrianglesClipped != 1 || len(tris) <= int(st.TrianglesTraversed) {
+		t.Fatalf("draw does not exercise the clipper: stats %+v, %d triangles", st, len(tris))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p.Draw(d.vb, d.ib, d.prim, vs, defaultCfg)
+	}); n != 0 {
+		t.Errorf("warm Draw allocates %v times, want 0", n)
+	}
+}

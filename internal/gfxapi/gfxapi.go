@@ -55,7 +55,13 @@ type RenderState struct {
 	Tex  [shader.NumTexUnits]TexBinding
 }
 
-// DrawCall is one batch: a complete, self-contained unit of GPU work.
+// DrawCall is one batch: a complete unit of GPU work.
+//
+// The Device owns the DrawCall it passes to Backend.Execute and reuses
+// it for every draw, so a DrawCall is valid only until Execute returns.
+// Consts points at the device's live constant file, which the next
+// SetConst changes. A backend that keeps a draw past Execute must copy
+// *dc and *dc.Consts.
 type DrawCall struct {
 	VB    *geom.VertexBuffer
 	IB    *geom.IndexBuffer
@@ -66,7 +72,7 @@ type DrawCall struct {
 	// Consts is the constant register file at draw time (shared
 	// between the vertex and fragment programs, like ATTILA's unified
 	// shader model).
-	Consts [shader.NumConsts]gmath.Vec4
+	Consts *[shader.NumConsts]gmath.Vec4
 }
 
 // ClearOp describes a framebuffer clear.
@@ -82,6 +88,9 @@ type ClearOp struct {
 // Backend consumes finished draw calls: the GPU simulator, or NullBackend
 // when only API-level statistics are wanted.
 type Backend interface {
+	// Execute runs one draw. dc and everything it points to belong to
+	// the Device and are valid only until Execute returns (see
+	// DrawCall).
 	Execute(dc *DrawCall)
 	Clear(op ClearOp)
 	EndFrame()
@@ -173,6 +182,8 @@ type Device struct {
 
 	state  RenderState
 	consts [shader.NumConsts]gmath.Vec4
+	// dc is the one DrawCall every draw fills and hands to the backend.
+	dc DrawCall
 
 	frame  FrameStats
 	frames []FrameStats
@@ -304,16 +315,28 @@ func (d *Device) CreateProgram(p *shader.Program) (*shader.Program, error) {
 	return p, nil
 }
 
+// The state calls whose commands carry a pointer payload count the call
+// themselves and give the recorder a copy declared inside the recording
+// branch, so an unrecorded call allocates nothing.
+
 // SetZState sets the depth/stencil state (one state call).
 func (d *Device) SetZState(s zst.State) {
 	d.state.Z = s
-	d.stateCall(Command{Op: OpSetZState, ZState: &s})
+	d.frame.StateCalls++
+	if d.recorder != nil {
+		s := s
+		d.recorder.Record(Command{Op: OpSetZState, ZState: &s})
+	}
 }
 
 // SetRopState sets the blend/mask state (one state call).
 func (d *Device) SetRopState(s rop.State) {
 	d.state.Rop = s
-	d.stateCall(Command{Op: OpSetRopState, RopState: &s})
+	d.frame.StateCalls++
+	if d.recorder != nil {
+		s := s
+		d.recorder.Record(Command{Op: OpSetRopState, RopState: &s})
+	}
 }
 
 // SetCull sets the face culling mode (one state call).
@@ -329,7 +352,11 @@ func (d *Device) BindTexture(unit int, t *texture.Texture, st texture.SamplerSta
 		return
 	}
 	d.state.Tex[unit] = TexBinding{Tex: t, State: st}
-	d.stateCall(Command{Op: OpBindTexture, Unit: uint8(unit), ID: d.ids[t], Sampler: &st})
+	d.frame.StateCalls++
+	if d.recorder != nil {
+		st := st
+		d.recorder.Record(Command{Op: OpBindTexture, Unit: uint8(unit), ID: d.ids[t], Sampler: &st})
+	}
 }
 
 // SetConst loads one constant register (one state call; games issue
@@ -361,11 +388,6 @@ func (d *Device) stateCall(cmd Command) {
 func (d *Device) DrawIndexed(vb *geom.VertexBuffer, ib *geom.IndexBuffer,
 	prim geom.PrimitiveType, vs, fs *shader.Program) {
 
-	dc := &DrawCall{
-		VB: vb, IB: ib, Prim: prim, VS: vs, FS: fs,
-		State:  d.state,
-		Consts: d.consts,
-	}
 	n := len(ib.Indices)
 	d.frame.Batches++
 	d.frame.Indices += int64(n)
@@ -388,12 +410,24 @@ func (d *Device) DrawIndexed(vb *geom.VertexBuffer, ib *geom.IndexBuffer,
 			Prim: prim, ProgID: d.ids[vs], ProgID2: d.ids[fs],
 		})
 	}
-	d.backend.Execute(dc)
+	d.dc = DrawCall{
+		VB: vb, IB: ib, Prim: prim, VS: vs, FS: fs,
+		State:  d.state,
+		Consts: &d.consts,
+	}
+	d.backend.Execute(&d.dc)
+	// Drop the draw's references so the device does not keep its
+	// buffers and programs alive.
+	d.dc = DrawCall{}
 }
 
 // Clear clears the framebuffer (one state call).
 func (d *Device) Clear(op ClearOp) {
-	d.stateCall(Command{Op: OpClear, ClearOp: &op})
+	d.frame.StateCalls++
+	if d.recorder != nil {
+		op := op
+		d.recorder.Record(Command{Op: OpClear, ClearOp: &op})
+	}
 	d.backend.Clear(op)
 }
 

@@ -11,16 +11,29 @@ import (
 	"gpuchar/internal/zst"
 )
 
-// countingBackend records what reaches the backend.
+// countingBackend records what reaches the backend. It keeps draws past
+// Execute, so, as the DrawCall contract requires of such a backend, it
+// copies *dc and *dc.Consts. onExecute, when set, inspects each draw
+// while Execute runs.
 type countingBackend struct {
-	draws  []*DrawCall
-	clears int
-	frames int
+	draws     []*DrawCall
+	clears    int
+	frames    int
+	onExecute func(dc *DrawCall)
 }
 
-func (c *countingBackend) Execute(dc *DrawCall) { c.draws = append(c.draws, dc) }
-func (c *countingBackend) Clear(ClearOp)        { c.clears++ }
-func (c *countingBackend) EndFrame()            { c.frames++ }
+func (c *countingBackend) Execute(dc *DrawCall) {
+	if c.onExecute != nil {
+		c.onExecute(dc)
+	}
+	cp := *dc
+	consts := *dc.Consts
+	cp.Consts = &consts
+	c.draws = append(c.draws, &cp)
+}
+
+func (c *countingBackend) Clear(ClearOp) { c.clears++ }
+func (c *countingBackend) EndFrame()     { c.frames++ }
 
 type recordingRecorder struct{ cmds []Command }
 
@@ -105,8 +118,25 @@ func TestDrawSnapshotsState(t *testing.T) {
 	st.ZFunc = zst.CmpEqual
 	d.SetZState(st)
 	d.SetConst(9, gmath.V4(7, 7, 7, 7))
+	executed := false
+	b.onExecute = func(dc *DrawCall) {
+		executed = true
+		if dc.VB != vb || dc.IB != ib || dc.VS != vs || dc.FS != fs {
+			t.Error("backend sees the wrong resources during Execute")
+		}
+		if dc.State.Z.ZFunc != zst.CmpEqual {
+			t.Error("backend sees the wrong Z func during Execute")
+		}
+		if dc.Consts[9] != gmath.V4(7, 7, 7, 7) {
+			t.Error("backend sees the wrong constants during Execute")
+		}
+	}
 	d.DrawIndexed(vb, ib, geom.TriangleList, vs, fs)
-	// Mutating device state afterwards must not affect the captured call.
+	if !executed {
+		t.Fatal("draw never reached the backend")
+	}
+	// Mutating device state afterwards must not affect the call the
+	// copying backend kept.
 	d.SetZState(zst.DefaultState())
 	d.SetConst(9, gmath.Vec4{})
 	dc := b.draws[0]
@@ -269,5 +299,27 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(200).String() != "Op?" {
 		t.Error("unknown op name")
+	}
+}
+
+// TestDrawIndexedAllocatesNothing pins the reused DrawCall: a draw into
+// NullBackend, with the state calls a game interleaves between draws,
+// allocates nothing when no recorder is attached.
+func TestDrawIndexedAllocatesNothing(t *testing.T) {
+	d := NewDevice(Direct3D, NullBackend{})
+	vb, ib, vs, fs := simpleResources(t, d)
+	tex, err := d.CreateTexture(TextureSpec{Name: "t", Format: texture.FormatDXT1, W: 4, H: 4, Kind: KindFlat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		d.SetZState(zst.DefaultState())
+		d.SetRopState(rop.DefaultState())
+		d.BindTexture(0, tex, texture.SamplerState{Filter: texture.FilterTrilinear})
+		d.SetConst(3, gmath.V4(1, 2, 3, 4))
+		d.DrawIndexed(vb, ib, geom.TriangleList, vs, fs)
+		d.Clear(ClearOp{ClearDepth: true})
+	}); n != 0 {
+		t.Errorf("draw with state calls allocates %v times, want 0", n)
 	}
 }

@@ -258,8 +258,12 @@ type GPU struct {
 	frag      *fragment.Stage
 	target    *rop.Target
 
-	serial pipe    // serial backend over the stages above
-	emit   emitCtx // reusable serial emitter (no per-draw closure)
+	serial pipe          // serial backend over the stages above
+	emit   emitCtx       // reusable serial emitter (no per-draw closure)
+	setup  rast.SetupTri // serial path's triangle setup, reused
+	// zstate is the current draw's z & stencil state, HZ masked off
+	// unless Cfg.HZ.
+	zstate zst.State
 
 	// Tile-parallel backend state (Cfg.TileWorkers > 1).
 	workers  []*tileWorker
@@ -460,8 +464,8 @@ func (e *emitCtx) EmitQuad(q *rast.Quad) {
 // Execute runs one draw call through the whole pipeline.
 func (g *GPU) Execute(dc *gfxapi.DrawCall) {
 	// Load the unified constant file into both shader stages.
-	g.vsMachine.Consts = dc.Consts
-	g.fsMachine.Consts = dc.Consts
+	g.vsMachine.Consts = *dc.Consts
+	g.fsMachine.Consts = *dc.Consts
 
 	// Bind textures.
 	for unit, b := range dc.State.Tex {
@@ -473,9 +477,9 @@ func (g *GPU) Execute(dc *gfxapi.DrawCall) {
 	// Command processor fetch.
 	g.Mem.Read(mem.ClientCP, cpBytesPerDraw)
 
-	zstate := dc.State.Z
+	g.zstate = dc.State.Z
 	if !g.Cfg.HZ {
-		zstate.HZ = false
+		g.zstate.HZ = false
 	}
 	// Early z is legal when shading cannot change the outcome of the
 	// depth test: no KIL (ATTILA's alpha test) in the fragment program.
@@ -497,7 +501,7 @@ func (g *GPU) Execute(dc *gfxapi.DrawCall) {
 
 	rcfg := rast.Config{Width: g.cur.w, Height: g.cur.h}
 	if len(g.workers) > 0 {
-		g.executeParallel(tris, dc, rcfg, &zstate, earlyZ, drawStart)
+		g.executeParallel(tris, dc, rcfg, earlyZ, drawStart)
 		return
 	}
 
@@ -505,15 +509,14 @@ func (g *GPU) Execute(dc *gfxapi.DrawCall) {
 	if g.gt != nil {
 		pre = g.gt.serial
 	}
-	g.emit = emitCtx{g: g, fs: dc.FS, zstate: zstate, ropState: dc.State.Rop, earlyZ: earlyZ}
-	var setup rast.SetupTri
+	g.emit = emitCtx{g: g, fs: dc.FS, zstate: g.zstate, ropState: dc.State.Rop, earlyZ: earlyZ}
 	for i := range tris {
 		tri := &tris[i]
-		if !rast.SetupInto(tri, &setup) {
+		if !rast.SetupInto(tri, &g.setup) {
 			continue
 		}
 		g.emit.front = tri.FrontFacing
-		g.rast.RasterizeTo(&setup, rcfg, &g.emit)
+		g.rast.RasterizeTo(&g.setup, rcfg, &g.emit)
 	}
 	if g.gt != nil {
 		g.gt.finishSerialDraw(pre, drawStart, mark, len(tris))
@@ -597,10 +600,10 @@ func (g *GPU) assignBuckets() {
 // order. The per-draw barrier keeps Clear and EndFrame (main-thread
 // operations) trivially safe.
 func (g *GPU) executeParallel(tris []geom.Triangle, dc *gfxapi.DrawCall,
-	rcfg rast.Config, zstate *zst.State, earlyZ bool, drawStart int64) {
+	rcfg rast.Config, earlyZ bool, drawStart int64) {
 
 	for _, w := range g.workers {
-		w.fs.Consts = dc.Consts
+		w.fs.Consts = *dc.Consts
 		for unit, b := range dc.State.Tex {
 			if b.Tex != nil {
 				w.tex.Bind(unit, b.Tex, b.State)
@@ -653,7 +656,7 @@ func (g *GPU) executeParallel(tris []geom.Triangle, dc *gfxapi.DrawCall,
 				sp = g.gt.tr.Begin(g.gt.workerTk[wi], "drain")
 			}
 			ropState := dc.State.Rop
-			zs := *zstate
+			zs := g.zstate
 			for _, gi := range w.groups {
 				b := g.cur.buckets[gi]
 				for i := range b {

@@ -163,14 +163,66 @@ func (u *Unit) SampleQuad(unit int, coords *[4]gmath.Vec4, bias float32,
 	if b.tex == nil {
 		return [4]gmath.Vec4{}
 	}
-	var st [4]gmath.Vec2
+	fp := b.footprint(coords, bias, projective)
+	var out [4]gmath.Vec4
+	for lane := 0; lane < 4; lane++ {
+		u.stats.Requests++
+		var acc gmath.Vec4
+		for p := 0; p < fp.probes; p++ {
+			ps, pt := fp.probe(lane, p)
+			var c gmath.Vec4
+			switch {
+			case b.state.Filter == FilterNearest:
+				c = u.nearest(b.tex, ps, pt, int(fp.lod+0.5))
+				u.stats.BilinearSamples++ // nearest occupies one sample slot
+			case fp.trilinear:
+				l0i := int(fp.lod)
+				frac := fp.lod - float32(l0i)
+				cA := u.bilinear(b.tex, ps, pt, l0i)
+				cB := u.bilinear(b.tex, ps, pt, minInt(l0i+1, fp.maxLevel))
+				c = cA.Lerp(cB, frac)
+				u.stats.BilinearSamples += 2
+			default: // bilinear
+				c = u.bilinear(b.tex, ps, pt, int(fp.lod+0.5))
+				u.stats.BilinearSamples++
+			}
+			acc = acc.Add(c)
+		}
+		out[lane] = acc.Scale(1 / float32(fp.probes))
+	}
+	return out
+}
+
+// footprint is a quad's filtering plan: the lanes' texture coordinates,
+// the level of detail and the anisotropic probes along the major axis.
+type footprint struct {
+	st        [4]gmath.Vec2
+	lod       float32
+	maxLevel  int
+	trilinear bool
+	probes    int
+	// stepS/stepT is the probe spacing in normalized coordinates.
+	stepS, stepT float32
+}
+
+// probe returns the coordinates of probe p of lane.
+func (fp *footprint) probe(lane, p int) (s, t float32) {
+	off := float32(p) - float32(fp.probes-1)/2
+	return fp.st[lane].X + fp.stepS*off, fp.st[lane].Y + fp.stepT*off
+}
+
+// footprint derives the filtering plan of a quad from the coordinate
+// differences across it.
+func (b *binding) footprint(coords *[4]gmath.Vec4, bias float32, projective bool) footprint {
+	var fp footprint
 	for lane := 0; lane < 4; lane++ {
 		s, t, q := coords[lane].X, coords[lane].Y, coords[lane].W
 		if projective && q != 0 {
 			s, t = s/q, t/q
 		}
-		st[lane] = gmath.V2(s, t)
+		fp.st[lane] = gmath.V2(s, t)
 	}
+	st := &fp.st
 
 	w0, h0 := b.tex.LevelSize(0)
 	fw, fh := float32(w0), float32(h0)
@@ -217,108 +269,118 @@ func (u *Unit) SampleQuad(unit int, coords *[4]gmath.Vec4, bias float32,
 		// single probe, two mips
 	}
 	lod += b.state.LODBias + bias
-	maxLod := float32(b.tex.Levels() - 1)
-	lod = gmath.Clamp(lod, 0, maxLod)
-
-	trilinear := b.state.Filter == FilterTrilinear || b.state.Filter == FilterAniso
-	var out [4]gmath.Vec4
-	for lane := 0; lane < 4; lane++ {
-		u.stats.Requests++
-		var acc gmath.Vec4
-		// Probe positions step along the major footprint axis in
-		// normalized coordinates.
-		stepS := major.X / (fw * float32(probes))
-		stepT := major.Y / (fh * float32(probes))
-		for p := 0; p < probes; p++ {
-			off := float32(p) - float32(probes-1)/2
-			ps := st[lane].X + stepS*off
-			pt := st[lane].Y + stepT*off
-			var c gmath.Vec4
-			switch {
-			case b.state.Filter == FilterNearest:
-				c = u.fetchNearest(b.tex, ps, pt, int(lod+0.5))
-				u.stats.BilinearSamples++ // nearest occupies one sample slot
-			case trilinear:
-				l0i := int(lod)
-				frac := lod - float32(l0i)
-				cA := u.bilinear(b.tex, ps, pt, l0i)
-				cB := u.bilinear(b.tex, ps, pt, minInt(l0i+1, int(maxLod)))
-				c = cA.Lerp(cB, frac)
-				u.stats.BilinearSamples += 2
-			default: // bilinear
-				c = u.bilinear(b.tex, ps, pt, int(lod+0.5))
-				u.stats.BilinearSamples++
-			}
-			acc = acc.Add(c)
-		}
-		out[lane] = acc.Scale(1 / float32(probes))
-	}
-	return out
+	fp.maxLevel = b.tex.Levels() - 1
+	fp.lod = gmath.Clamp(lod, 0, float32(fp.maxLevel))
+	fp.trilinear = b.state.Filter == FilterTrilinear || b.state.Filter == FilterAniso
+	fp.probes = probes
+	// Probe positions step along the major footprint axis in normalized
+	// coordinates.
+	fp.stepS = major.X / (fw * float32(probes))
+	fp.stepT = major.Y / (fh * float32(probes))
+	return fp
 }
 
-// bilinear performs one bilinear sample: four texel fetches with
-// fractional weighting.
+// bilinear performs one bilinear sample: the 2x2 texel footprint
+// around (s, tc) at level lv, filtered with fractional weights. It is a
+// fused kernel: the level is clamped and the two columns and two rows
+// wrapped once, and the four compressed-space and four decompressed-space
+// addresses are sums of separable x and y terms of the tiled layout. The
+// cache hierarchy sees the texels in the order c00, c10, c01, c11.
 func (u *Unit) bilinear(t *Texture, s, tc float32, lv int) gmath.Vec4 {
-	lw, lh := t.LevelSize(lv)
-	x := s*float32(lw) - 0.5
-	y := tc*float32(lh) - 0.5
+	lv = clampInt(lv, 0, len(t.levels)-1)
+	li := &t.levels[lv]
+	x := s*float32(li.w) - 0.5
+	y := tc*float32(li.h) - 0.5
 	x0 := int(floorf(x))
 	y0 := int(floorf(y))
 	fx := x - float32(x0)
 	fy := y - float32(y0)
+	xa, xb := x0&li.wMask, (x0+1)&li.wMask
+	ya, yb := y0&li.hMask, (y0+1)&li.hMask
 
-	c00 := u.fetchTexel(t, x0, y0, lv)
-	c10 := u.fetchTexel(t, x0+1, y0, lv)
-	c01 := u.fetchTexel(t, x0, y0+1, lv)
-	c11 := u.fetchTexel(t, x0+1, y0+1, lv)
+	comp := t.BaseAddr + li.offset
+	cxa, cxb := t.blockX(xa), t.blockX(xb)
+	cya, cyb := comp+t.blockY(li, ya), comp+t.blockY(li, yb)
+	// Decompressed-space addresses scale the texture's base so distinct
+	// textures never alias (decompressed data is at most 8x larger than
+	// DXT1; 16x margin).
+	unc := t.BaseAddr*16 + li.uncBase
+	uxa, uxb := uncX(xa), uncX(xb)
+	uya, uyb := unc+li.uncY(ya), unc+li.uncY(yb)
 
+	// A texel in the L0 line of the texel before it is an MRU hit:
+	// counted, not looked up. When the bottom row falls in the top row's
+	// two lines and L0 has two or more ways, both lines are resident
+	// after the top row (the second fill cannot evict the MRU first), so
+	// the bottom row is two more hits that leave the LRU order as the
+	// top row left it. Both tests compare line addresses, never tile
+	// coordinates: L0 lines need not be 64 B and mip bases need not be
+	// line-aligned.
+	a00, a10, a01, a11 := uya+uxa, uya+uxb, uyb+uxa, uyb+uxb
+	sh := u.l0.LineShift()
+	u.stats.TexelFetches += 4
+	u.access(a00, cya+cxa)
+	u.accessAfter(a00, a10, cya+cxb, sh)
+	if u.l0Cfg.Ways > 1 && a01>>sh == a00>>sh && a11>>sh == a10>>sh {
+		u.l0.RepeatHits(2)
+	} else {
+		u.accessAfter(a10, a01, cyb+cxa, sh)
+		u.accessAfter(a01, a11, cyb+cxb, sh)
+	}
+
+	c00 := unorm(t.texelAt(lv, xa, ya))
+	c10 := unorm(t.texelAt(lv, xb, ya))
+	c01 := unorm(t.texelAt(lv, xa, yb))
+	c11 := unorm(t.texelAt(lv, xb, yb))
 	top := c00.Lerp(c10, fx)
 	bot := c01.Lerp(c11, fx)
 	return top.Lerp(bot, fy)
 }
 
-func (u *Unit) fetchNearest(t *Texture, s, tc float32, lv int) gmath.Vec4 {
-	lw, lh := t.LevelSize(lv)
-	x := int(floorf(s * float32(lw)))
-	y := int(floorf(tc * float32(lh)))
-	return u.fetchTexel(t, x, y, lv)
-}
-
-// fetchTexel reads one texel, driving the cache hierarchy: the L0 cache
-// is addressed in decompressed space; an L0 miss fetches through the L1
-// cache in compressed space; an L1 miss reads GDDR.
-func (u *Unit) fetchTexel(t *Texture, x, y, lv int) gmath.Vec4 {
+// nearest reads the one texel under (s, tc) at level lv.
+func (u *Unit) nearest(t *Texture, s, tc float32, lv int) gmath.Vec4 {
+	lv = clampInt(lv, 0, len(t.levels)-1)
+	li := &t.levels[lv]
+	x := int(floorf(s*float32(li.w))) & li.wMask
+	y := int(floorf(tc*float32(li.h))) & li.hMask
 	c, compAddr := t.Texel(x, y, lv)
 	u.stats.TexelFetches++
-	// Decompressed-space address: scale the texture's base so distinct
-	// textures never alias (decompressed data is at most 8x larger than
-	// DXT1; 16x margin).
-	uncAddr := t.BaseAddr*16 + t.uncompressedOffset(x, y, lv)
+	u.access(t.BaseAddr*16+li.uncompressedOffset(x, y), compAddr)
+	return unorm(c)
+}
+
+// access drives the cache hierarchy for one texel fetch: the L0 cache is
+// addressed in decompressed space; an L0 miss fetches through the L1
+// cache in compressed space; an L1 miss reads GDDR.
+func (u *Unit) access(uncAddr, compAddr uint64) {
 	if !u.l0.Access(uncAddr, false) {
 		if !u.l1.Access(compAddr, false) && u.memctl != nil {
 			u.memctl.Read(mem.ClientTexture, int64(u.l1Cfg.LineBytes))
 		}
 	}
-	return gmath.Vec4{
-		X: float32(c.R) / 255,
-		Y: float32(c.G) / 255,
-		Z: float32(c.B) / 255,
-		W: float32(c.A) / 255,
-	}
 }
 
-// uncompressedOffset computes the tiled 4-bytes-per-texel address used
-// for L0 (decompressed) lookups: 4x4-texel tiles of 64 bytes. The level
-// base (sum of 4-byte-per-texel level sizes) and the per-row tile count
-// are precomputed by initLayout.
-func (t *Texture) uncompressedOffset(x, y, lv int) uint64 {
-	lv = clampInt(lv, 0, len(t.levels)-1)
-	li := &t.levels[lv]
-	x &= li.wMask
-	y &= li.hMask
-	tile := (y>>2)*li.uncTilesPerRow + x>>2
-	within := (y&3)<<2 + x&3
-	return li.uncBase + uint64(tile)<<6 + uint64(within)<<2
+// accessAfter is access for a texel fetched right after the texel at L0
+// address prev.
+func (u *Unit) accessAfter(prev, uncAddr, compAddr uint64, l0Shift uint) {
+	if prev>>l0Shift == uncAddr>>l0Shift {
+		u.l0.RepeatHits(1)
+		return
+	}
+	u.access(uncAddr, compAddr)
+}
+
+// unorm8[i] is exactly float32(i)/255, the 8-bit channel conversion.
+var unorm8 = func() (tab [256]float32) {
+	for i := range tab {
+		tab[i] = float32(i) / 255
+	}
+	return tab
+}()
+
+// unorm converts an 8-bit texel to normalized floats.
+func unorm(c RGBA) gmath.Vec4 {
+	return gmath.Vec4{X: unorm8[c.R], Y: unorm8[c.G], Z: unorm8[c.B], W: unorm8[c.A]}
 }
 
 func floorf(x float32) float32 { return float32(math.Floor(float64(x))) }

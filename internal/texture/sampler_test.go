@@ -206,3 +206,17 @@ func TestLODBias(t *testing.T) {
 		t.Error("biased sample did not complete")
 	}
 }
+
+// TestSampleQuadAllocatesNothing pins the allocation-free sampling path
+// under the two multi-sample filters.
+func TestSampleQuadAllocatesNothing(t *testing.T) {
+	for _, f := range []FilterMode{FilterTrilinear, FilterAniso} {
+		u, _ := newTestUnit(f, 16)
+		coords := quadCoords(0.3, 0.7, 6.0/256, 1.5/256)
+		if n := testing.AllocsPerRun(100, func() {
+			u.SampleQuad(0, &coords, 0, false)
+		}); n != 0 {
+			t.Errorf("%v SampleQuad allocates %v times, want 0", f, n)
+		}
+	}
+}

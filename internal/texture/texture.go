@@ -192,14 +192,19 @@ func (t *Texture) Texel(x, y, lv int) (RGBA, uint64) {
 	li := &t.levels[lv]
 	x &= li.wMask // wrap (dimensions are powers of two)
 	y &= li.hMask
-	addr := t.BaseAddr + li.offset + t.blockOffset(li, x, y)
+	return t.texelAt(lv, x, y), t.BaseAddr + li.offset + t.blockOffset(li, x, y)
+}
+
+// texelAt returns the content of the texel at wrapped coordinates (x, y)
+// of the (clamped) level lv.
+func (t *Texture) texelAt(lv, x, y int) RGBA {
 	if t.data != nil {
-		return t.decodeTexel(lv, x, y), addr
+		return t.decodeTexel(lv, x, y)
 	}
 	if t.proc != nil {
-		return t.proc(x, y, lv), addr
+		return t.proc(x, y, lv)
 	}
-	return RGBA{}, addr
+	return RGBA{}
 }
 
 // blockOffset computes the tiled byte offset of the block containing
@@ -207,12 +212,43 @@ func (t *Texture) Texel(x, y, lv int) (RGBA, uint64) {
 // 2D tiles so that a 64-byte line maps to a compact screen-space
 // footprint, as in real GPU texture layouts. All factors are powers of
 // two, so the whole computation is shifts and masks over the constants
-// initLayout resolved at creation time.
+// initLayout resolved at creation time, and it separates into a term of
+// x plus a term of y.
 func (t *Texture) blockOffset(li *levelInfo, x, y int) uint64 {
-	bx, by := x>>t.bdShift, y>>t.bdShift
-	tile := (by>>t.thShift)*li.tilesPerRow + bx>>t.twShift
-	within := (by&t.thMask)<<t.twShift + bx&t.twMask
-	return uint64(tile)<<t.tileSpanShift + uint64(within)<<t.bbShift
+	return t.blockX(x) + t.blockY(li, y)
+}
+
+// blockX is the x term of blockOffset: the tile column and the column
+// within the tile.
+func (t *Texture) blockX(x int) uint64 {
+	bx := x >> t.bdShift
+	return uint64(bx>>t.twShift)<<t.tileSpanShift + uint64(bx&t.twMask)<<t.bbShift
+}
+
+// blockY is the y term of blockOffset: the tile row and the row within
+// the tile.
+func (t *Texture) blockY(li *levelInfo, y int) uint64 {
+	by := y >> t.bdShift
+	return uint64((by>>t.thShift)*li.tilesPerRow)<<t.tileSpanShift +
+		uint64((by&t.thMask)<<t.twShift)<<t.bbShift
+}
+
+// uncompressedOffset computes the tiled 4-bytes-per-texel address of
+// wrapped texel (x, y) used for L0 (decompressed) lookups: 4x4-texel
+// tiles of 64 bytes from the level base initLayout precomputed. Like
+// blockOffset it is a term of x plus a term of y.
+func (li *levelInfo) uncompressedOffset(x, y int) uint64 {
+	return li.uncBase + uncX(x) + li.uncY(y)
+}
+
+// uncX is the x term of uncompressedOffset: tile column times 64 bytes
+// plus the texel column times 4 bytes.
+func uncX(x int) uint64 { return uint64(x>>2)<<6 + uint64(x&3)<<2 }
+
+// uncY is the y term of uncompressedOffset: tile row times the row's
+// tile bytes plus the texel row times 16 bytes.
+func (li *levelInfo) uncY(y int) uint64 {
+	return uint64((y>>2)*li.uncTilesPerRow)<<6 + uint64(y&3)<<4
 }
 
 // tileShape factors lineBlocks into a near-square power-of-two tile.
